@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,8 +24,7 @@ from .cmc import build_cmc_annulus, reflect_and_mesh
 from .errors import NilcatError
 from .helicoid import build_helicoid, mesh_helicoid
 from .meshes import write_csv, write_json, write_mesh
-from .period import L_integral, appendix_I_decomposition, find_theta_tilde
-from .profile import AnnulusParams
+from .period import appendix_I_decomposition, find_theta_tilde
 from .verify import run_verification, thread_count
 
 COMMANDS = ("solve-period", "mesh-catenoid", "mesh-helicoid", "mesh-cmc",
@@ -53,14 +53,20 @@ class JobConfig:
     def validate(self):
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
-        if not self.alphas or any(a <= 0 for a in self.alphas):
-            raise UsageError("alpha values must be positive")
+        if not self.alphas or not all(0 < a < math.inf for a in self.alphas):
+            raise UsageError("alpha values must be positive and finite")
         if self.nu < 16 or self.nv < 2:
             raise UsageError("resolution must be at least nu=16, nv=2")
+        if self.samples < 16:
+            raise UsageError("samples must be at least 16")
         if not 1e-14 <= self.tol <= 1e-6:
             raise UsageError("tol must lie in [1e-14, 1e-6]")
+        if not all(math.isfinite(x) for x in self.v_range):
+            raise UsageError("v-range bounds must be finite")
         if self.v_range[1] <= self.v_range[0]:
             raise UsageError("v-range must be increasing lo:hi")
+        if not math.isfinite(self.section_c):
+            raise UsageError("section-c must be finite")
         if self.fmt not in ("obj", "ply", "csv", "json"):
             raise UsageError(f"unknown format {self.fmt!r}")
         if self.command.startswith("mesh-") and self.out is None:
@@ -82,6 +88,8 @@ def _parse_sweep(text):
     if len(parts) != 3:
         raise UsageError(f"expected a:b:n, got {text!r}")
     a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise UsageError("sweep ends must be finite")
     if n < 1:
         raise UsageError("sweep count must be positive")
     return list(np.linspace(a, b, n))
@@ -97,13 +105,12 @@ def _emit(payload: str, out):
 
 def _period_record(alpha, tol):
     theta = find_theta_tilde(alpha, tol=tol)
-    resid = L_integral(AnnulusParams(alpha, theta)).L
     d = appendix_I_decomposition(alpha, theta)
-    model = build_catenoid(alpha, tol=tol)
+    model = build_catenoid(alpha, tol=tol, theta=theta)
     return {
         "alpha": alpha,
         "theta_tilde": theta,
-        "L_residual": resid,
+        "L_residual": d.L,
         "I1": d.I1, "I2": d.I2, "I3": d.I3,
         "U": model.U, "betaU": model.profile.betaU, "GU": model.profile.GU,
         "V": model.V,

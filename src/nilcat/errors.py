@@ -32,3 +32,8 @@ class BracketError(NilcatError, RuntimeError):
     """A sign bracket guaranteed by the theory failed numerically.  This
     always indicates a bug or broken input, never a tolerance issue, so it
     aborts loudly."""
+
+
+class QuadratureError(NilcatError, RuntimeError):
+    """A quadrature whose value a result depends on did not reach its
+    tolerance; its error estimate is in the message."""

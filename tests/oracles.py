@@ -1,13 +1,15 @@
 """Brute-force oracles, independent of the library's solution paths.
 
-Everything here uses only direct quadrature (composite Simpson or midpoint
-Riemann sums on dense grids) of the printed integrands, plus bisection.
-The library integrates the profile ODE in phi with Gauss cells and evaluates
-the period integral with adaptive quadrature; none of that machinery is used
-here, so agreement is a genuine cross-check.
+Everything here uses only direct quadrature (composite Simpson, midpoint
+Riemann sums on dense grids, or adaptive Gauss-Kronrod from QUADPACK) of
+the printed integrands, plus bisection.  The library integrates the profile
+ODE in phi with Gauss cells and evaluates the period integral with a
+periodic trapezoidal rule; none of that machinery is used here, so
+agreement is a genuine cross-check.
 """
 
 import numpy as np
+from scipy.integrate import quad
 
 
 def P_of(alpha, theta, x):
@@ -98,8 +100,23 @@ def theta_tilde_bisect(alpha, n=10 ** 6, steps=200):
     return 0.5 * (lo + hi)
 
 
-def I_split(alpha, theta, n=10 ** 6):
-    """The three asymptotic integrals, by direct Simpson in t."""
+def _quad(f):
+    val, _err = quad(f, -np.pi / 2, np.pi / 2, epsabs=1e-14, epsrel=1e-13,
+                     limit=500)
+    return val
+
+
+def L_quad(alpha, theta):
+    """L(alpha, theta) by adaptive Gauss-Kronrod in t."""
+    return _quad(lambda t: L_integrand_t(alpha, theta, t))
+
+
+def I_quad(alpha, theta):
+    """(I1, I2, I3) by adaptive Gauss-Kronrod in t."""
+    return tuple(_quad(f) for f in _I_integrands(alpha, theta))
+
+
+def _I_integrands(alpha, theta):
     C = np.sin(2.0 * theta) / (2.0 * alpha)
 
     def mk(kind):
@@ -114,7 +131,13 @@ def I_split(alpha, theta, n=10 ** 6):
             return alpha * C ** 2 * x * x / (alpha + sq)
         return f
 
-    return tuple(simpson(mk(k), -np.pi / 2, np.pi / 2, n) for k in (1, 2, 3))
+    return [mk(k) for k in (1, 2, 3)]
+
+
+def I_split(alpha, theta, n=10 ** 6):
+    """The three asymptotic integrals, by direct Simpson in t."""
+    return tuple(simpson(f, -np.pi / 2, np.pi / 2, n)
+                 for f in _I_integrands(alpha, theta))
 
 
 def fd1_5pt(f, x, h):

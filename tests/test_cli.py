@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import nilcat.catenoid as cat_mod
+import nilcat.cli as cli_mod
 from nilcat.cli import JobConfig, UsageError, config_from_args, build_parser, main
 from nilcat.meshes import euler_characteristic, read_obj, read_ply
 from nilcat.nil3 import ResidualReport
+from nilcat.period import find_theta_tilde
 
 
 def run_cli(*argv):
@@ -98,6 +101,36 @@ class TestCommands:
         assert run_cli("mesh-catenoid", "--alpha", "1") == 2
         assert run_cli("verify", "--tol", "0.1") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["solve-period", "--alpha", "nan"],
+        ["solve-period", "--alpha", "inf"],
+        ["solve-period", "--alpha-sweep", "1:inf:3"],
+        ["solve-period", "--alpha-sweep", "nan:2:3"],
+        ["verify", "--tol", "nan"],
+        ["section", "--v-range", "-inf:2"],
+        ["section", "--v-range", "0:nan"],
+        ["section", "--section-c", "nan"],
+        ["section", "--section-c", "-inf"],
+        ["section", "--samples", "3"],
+    ])
+    def test_bad_numbers_exit_2(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_one_theta_solve_per_alpha(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(alpha, tol=1e-11):
+            calls.append(alpha)
+            return find_theta_tilde(alpha, tol=tol)
+
+        monkeypatch.setattr(cli_mod, "find_theta_tilde", counting)
+        monkeypatch.setattr(cat_mod, "find_theta_tilde", counting)
+        assert run_cli("solve-period", "--alpha-sweep", "0.5:2:3",
+                       "--format", "csv", "--out",
+                       str(tmp_path / "s.csv")) == 0
+        assert calls == [0.5, 1.25, 2.0]
+
     def test_verify_exit_codes(self, tmp_path, monkeypatch):
         out = tmp_path / "rep.json"
         assert run_cli("verify", "--alpha", "1", "--out", str(out)) == 0
@@ -105,7 +138,6 @@ class TestCommands:
         entries = rep["alpha=1"]
         assert entries and all(e["pass"] for e in entries.values())
 
-        import nilcat.cli as cli_mod
         failing = ResidualReport()
         failing.add("synthetic", 1.0, threshold=1e-9)
         monkeypatch.setattr(cli_mod, "run_verification",

@@ -1,10 +1,16 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from nilcat import AnnulusParams, DomainError
+from nilcat import AnnulusParams, DomainError, QuadratureError
+from nilcat import period
 from nilcat.period import L_integral, appendix_I_decomposition, find_theta_tilde
 
 from test_profile import THETA_TILDE_1
@@ -24,6 +30,21 @@ class TestLIntegral:
         assert got.converged
         assert got.L == pytest.approx(-0.658812666533056, abs=1e-9)
         assert got.L == pytest.approx(oracles.L_simpson(2.0, 0.2), abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.7, 1.0, 3.0, 100.0])
+    @pytest.mark.parametrize("frac", [0.0, 0.3, 0.6, 0.9, 0.99])
+    def test_against_quad_oracle(self, alpha, frac):
+        theta = frac * min(AnnulusParams(alpha, 0.0).theta_plus, math.pi / 4)
+        got = L_integral(AnnulusParams(alpha, theta), split=True)
+        d = appendix_I_decomposition(alpha, theta)
+        assert got.converged and d.converged
+        L = oracles.L_quad(alpha, theta)
+        assert abs(got.L - L) <= 1e-12
+        assert abs(got.L1 + got.L2 - L) <= 1e-12
+        assert abs(d.L - L) <= 1e-12
+        for mine, ref in zip((d.I1, d.I2, d.I3),
+                             oracles.I_quad(alpha, theta)):
+            assert abs(mine - ref) <= 1e-12
 
     def test_split_sums_to_L(self):
         got = L_integral(AnnulusParams(0.8, 0.3), split=True)
@@ -50,11 +71,15 @@ class TestFindThetaTilde:
         assert tt == pytest.approx(THETA_TILDE_1, abs=1e-9)
         assert abs(L_integral(AnnulusParams(1.0, tt)).L) <= 1e-10
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "alpha", [0.2, 0.35, 0.5, 1.0, 2.0, 4.0, 10.0, 30.0, 100.0])
     def test_root_residual(self, alpha):
         tt = find_theta_tilde(alpha)
         assert 0.0 < tt < min(AnnulusParams(alpha, 0.0).theta_plus, math.pi / 4)
-        assert abs(L_integral(AnnulusParams(alpha, tt)).L) <= 1e-10
+        got = L_integral(AnnulusParams(alpha, tt))
+        assert got.converged
+        assert abs(got.L) <= 1e-10
+        assert abs(oracles.L_riemann(alpha, tt, n=10 ** 5)) <= 1e-12
 
     def test_small_alpha_bracket(self):
         # theta_plus(0.5) = arccos(1/2)/2 = pi/6 bounds the root
@@ -72,6 +97,31 @@ class TestFindThetaTilde:
     def test_bad_alpha(self):
         with pytest.raises(DomainError):
             find_theta_tilde(-1.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_alpha(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                find_theta_tilde(alpha)
+
+    @pytest.mark.parametrize("good_calls", [0, 1, 2])
+    def test_unconverged_quadrature_raises(self, monkeypatch, good_calls):
+        # good_calls = 0, 1: a bracket value is unconverged; 2: a value
+        # inside the bracket, which the root search would return from
+        calls = []
+
+        def flaky(params, tol=period.DEFAULT_QUAD_TOL):
+            r = L_integral(params, tol=tol)
+            calls.append(params.theta)
+            if len(calls) > good_calls:
+                r = dataclasses.replace(r, converged=False)
+            return r
+
+        monkeypatch.setattr(period, "L_integral", flaky)
+        with pytest.raises(QuadratureError):
+            find_theta_tilde(1.0)
+        assert len(calls) == good_calls + 1
 
 
 class TestAppendixDecomposition:
@@ -109,3 +159,13 @@ class TestAppendixDecomposition:
         d = appendix_I_decomposition(alpha, find_theta_tilde(alpha))
         assert d.I1 <= K / alpha ** 2
         assert d.I3 <= K / alpha ** 2
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(period.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nilcat.cli; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
