@@ -111,17 +111,11 @@ class CatenoidModel:
 
 
 def build_catenoid(alpha: float, tol: float = 1e-11,
-                   nodes: int | None = None,
-                   theta: float | None = None) -> CatenoidModel:
-    """Solve the period problem at alpha and assemble the annulus model.
-
-    A caller that already holds theta_tilde(alpha) passes it as theta; the
-    period identity defect is checked either way.
-    """
+                   nodes: int | None = None) -> CatenoidModel:
+    """Solve the period problem at alpha and assemble the annulus model."""
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    if theta is None:
-        theta = find_theta_tilde(alpha, tol=tol)
+    theta = find_theta_tilde(alpha, tol=tol)
     kwargs = {} if nodes is None else {"nodes": nodes}
     profile = solve_profile(AnnulusParams(alpha, theta), **kwargs)
     model = CatenoidModel(profile.params, profile)

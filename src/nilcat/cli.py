@@ -24,7 +24,7 @@ from .cmc import build_cmc_annulus, reflect_and_mesh
 from .errors import NilcatError
 from .helicoid import build_helicoid, mesh_helicoid
 from .meshes import write_csv, write_json, write_mesh
-from .period import appendix_I_decomposition, find_theta_tilde
+from .period import appendix_I_decomposition
 from .verify import run_verification, thread_count
 
 COMMANDS = ("solve-period", "mesh-catenoid", "mesh-helicoid", "mesh-cmc",
@@ -104,9 +104,9 @@ def _emit(payload: str, out):
 
 
 def _period_record(alpha, tol):
-    theta = find_theta_tilde(alpha, tol=tol)
+    model = build_catenoid(alpha, tol=tol)
+    theta = model.theta_tilde
     d = appendix_I_decomposition(alpha, theta)
-    model = build_catenoid(alpha, tol=tol, theta=theta)
     return {
         "alpha": alpha,
         "theta_tilde": theta,

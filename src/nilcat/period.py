@@ -167,6 +167,8 @@ def find_theta_tilde(alpha: float, tol: float = DEFAULT_ROOT_TOL) -> float:
     seen = {}
 
     def Lval(theta):
+        if theta in seen:
+            return seen[theta]
         r = L_integral(AnnulusParams(alpha, theta), tol=qtol)
         if not r.converged:
             raise QuadratureError(
@@ -191,7 +193,7 @@ def find_theta_tilde(alpha: float, tol: float = DEFAULT_ROOT_TOL) -> float:
             f"L must change sign on [{lo}, {hi}] for alpha={alpha}; got "
             f"L({lo})={flo}, L({hi})={fhi}")
     root = brentq(Lval, lo, hi, xtol=1e-15, maxiter=200)
-    resid = seen[root] if root in seen else Lval(root)
+    resid = Lval(root)
     if abs(resid) > tol:
         raise BracketError(
             f"root search stalled: |L(alpha, theta)| = {abs(resid)} > {tol} "

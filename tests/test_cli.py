@@ -124,7 +124,8 @@ class TestCommands:
             calls.append(alpha)
             return find_theta_tilde(alpha, tol=tol)
 
-        monkeypatch.setattr(cli_mod, "find_theta_tilde", counting)
+        # a threaded sweep would append in completion order
+        monkeypatch.setenv("NILCAT_THREADS", "1")
         monkeypatch.setattr(cat_mod, "find_theta_tilde", counting)
         assert run_cli("solve-period", "--alpha-sweep", "0.5:2:3",
                        "--format", "csv", "--out",

@@ -108,7 +108,7 @@ class TestFindThetaTilde:
     @pytest.mark.parametrize("good_calls", [0, 1, 2])
     def test_unconverged_quadrature_raises(self, monkeypatch, good_calls):
         # good_calls = 0, 1: a bracket value is unconverged; 2: a value
-        # inside the bracket, which the root search would return from
+        # inside the bracket, since brentq's bracket ends come from the cache
         calls = []
 
         def flaky(params, tol=period.DEFAULT_QUAD_TOL):
@@ -122,6 +122,8 @@ class TestFindThetaTilde:
         with pytest.raises(QuadratureError):
             find_theta_tilde(1.0)
         assert len(calls) == good_calls + 1
+        if good_calls == 2:
+            assert calls[0] < calls[2] < calls[1]
 
 
 class TestAppendixDecomposition:
