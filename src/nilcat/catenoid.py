@@ -22,13 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError, ResolutionError
+from .errors import ARG_MAX, DomainError, RangeError, ResolutionError
 from .meshes import Mesh, grid_mesh_faces
 from .nil3 import Nil3Point
 from .period import find_theta_tilde
 from .profile import AnnulusParams, Profile, solve_profile
-
-A_MAX = 700.0  # cosh overflows just past 710 in float64
 
 
 class CatenoidModel:
@@ -55,9 +53,9 @@ class CatenoidModel:
         p = self.params
         pv = self.profile.eval(u)
         A = p.alpha * np.asarray(v, dtype=float) + pv.beta
-        if np.any(np.abs(A) > A_MAX):
+        if np.any(np.abs(A) > ARG_MAX):
             raise RangeError(
-                f"|A| exceeds {A_MAX}; shrink the v-range (cosh overflow)")
+                f"|A| exceeds {ARG_MAX}; shrink the v-range (cosh overflow)")
         return pv, A
 
     def _xyz_from(self, pv, A, v):
@@ -97,17 +95,6 @@ class CatenoidModel:
     def hopf_coefficient(self) -> complex:
         """Constant value exp(-2 i theta_tilde) / 4 of the Hopf quantity."""
         return 0.25 * np.exp(-2j * self.theta_tilde)
-
-    def describe(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "theta_tilde": self.theta_tilde,
-            "U": self.U,
-            "betaU": self.profile.betaU,
-            "GU": self.profile.GU,
-            "V": self.V,
-            "period_defect": self.period_defect,
-        }
 
 
 def build_catenoid(alpha: float, tol: float = 1e-11,
@@ -169,7 +156,7 @@ def _section_y(model: CatenoidModel, c: float, u):
     a, C = p.alpha, p.C
     pv = model.profile.eval(u)
     A = (a / C) * c + pv.beta + (a / C) * pv.G
-    if np.any(np.abs(A) > A_MAX):
+    if np.any(np.abs(A) > ARG_MAX):
         raise RangeError("section leaves the overflow-safe band; reduce |c|")
     sin, cos = np.sin(pv.phi), np.cos(pv.phi)
     sh, ch = np.sinh(A), np.cosh(A)

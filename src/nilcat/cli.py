@@ -23,7 +23,7 @@ from .catenoid import build_catenoid, limit_deviation, mesh_catenoid, \
 from .cmc import build_cmc_annulus, reflect_and_mesh
 from .errors import NilcatError
 from .helicoid import build_helicoid, mesh_helicoid
-from .meshes import write_csv, write_json, write_mesh
+from .meshes import _atomic_write_bytes, csv_text, write_mesh
 from .period import appendix_I_decomposition
 from .verify import run_verification, thread_count
 
@@ -99,7 +99,6 @@ def _emit(payload: str, out):
     if out is None:
         sys.stdout.write(payload)
     else:
-        from .meshes import _atomic_write_bytes
         _atomic_write_bytes(out, payload.encode())
 
 
@@ -136,13 +135,8 @@ def run(config: JobConfig) -> int:
                   config.out)
         else:
             header = ["alpha", "theta_tilde", "L_residual", "I1", "I2", "I3"]
-            rows = [[r[k] for k in header] for r in recs]
-            if config.out is None:
-                _emit("\n".join([",".join(header)]
-                                + [",".join(repr(float(x)) for x in row)
-                                   for row in rows]) + "\n", None)
-            else:
-                write_csv(config.out, header, rows)
+            _emit(csv_text(header, [[r[k] for k in header] for r in recs]),
+                  config.out)
         return 0
 
     if cmd == "mesh-catenoid":
@@ -167,14 +161,8 @@ def run(config: JobConfig) -> int:
     if cmd == "section":
         model = build_catenoid(config.alphas[0], tol=config.tol)
         s = section_curve(model, config.section_c, config.samples)
-        header = ["u", "y1", "y3", "v", "curvature"]
-        rows = list(zip(s.u, s.y1, s.y3, s.v, s.curvature))
-        if config.out is None:
-            _emit("\n".join([",".join(header)]
-                            + [",".join(repr(float(x)) for x in row)
-                               for row in rows]) + "\n", None)
-        else:
-            write_csv(config.out, header, rows)
+        _emit(csv_text(["u", "y1", "y3", "v", "curvature"],
+                       zip(s.u, s.y1, s.y3, s.v, s.curvature)), config.out)
         return 0
 
     if cmd == "limit-study":
@@ -185,14 +173,8 @@ def run(config: JobConfig) -> int:
                       for uh in grid for vh in grid)
             return [alpha, waist_extent(model), dev]
 
-        rows = _sweep_map(study, config.alphas)
-        header = ["alpha", "waist_extent", "max_limit_deviation"]
-        if config.out is None:
-            _emit("\n".join([",".join(header)]
-                            + [",".join(repr(float(x)) for x in row)
-                               for row in rows]) + "\n", None)
-        else:
-            write_csv(config.out, header, rows)
+        _emit(csv_text(["alpha", "waist_extent", "max_limit_deviation"],
+                       _sweep_map(study, config.alphas)), config.out)
         return 0
 
     # verify
@@ -206,10 +188,7 @@ def run(config: JobConfig) -> int:
         for name in rep.failures():
             sys.stderr.write(f"FAIL alpha={alpha:g}: {name} residual="
                              f"{rep.entries[name]['residual']:.3e}\n")
-    if config.out is not None:
-        write_json(config.out, payload)
-    else:
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", None)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.out)
     return 0 if ok else 1
 
 

@@ -27,12 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, RangeError, ResolutionError
+from .errors import ARG_MAX, DomainError, RangeError, ResolutionError
 from .meshes import Mesh
 from .nil3 import mean_curvature
 from .profile import _GL_W, _GL_X, AnnulusParams, Profile, solve_profile
-
-ARG_MAX = 700.0  # float64 exp overflow budget
 
 
 class ConjugateProfile:
@@ -493,30 +491,22 @@ def reflect_and_mesh(model: CmcAnnulusModel, nu: int = 64, nv: int = 64,
     pts[:, 0, 2] = 0.0
     pts[:, -1, 2] = 0.0
 
-    def vid(i, j):
-        return j * nu + i
-
-    n_front = nu * nv
-    inner = nu - 2
-
-    def vid_back(i, j):
-        if i == 0 or i == nu - 1:
-            return vid(i, j)
-        return n_front + j * inner + (i - 1)
-
+    # vertex ids by grid position (j, i): the back half shares the two
+    # boundary columns and numbers its inner columns after the front half
+    front_id = np.arange(nv * nu).reshape(nv, nu)
+    back_id = front_id.copy()
+    back_id[:, 1:-1] = nu * nv + np.arange(nv * (nu - 2)).reshape(nv, nu - 2)
     back = pts[:, 1:-1, :].copy()
     back[..., 2] *= -1.0
     verts = np.concatenate([pts.reshape(-1, 3), back.reshape(-1, 3)])
 
-    faces = []
-    for j in range(nv - 1):
-        for i in range(nu - 1):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-            a2, b2 = vid_back(i, j), vid_back(i + 1, j)
-            c2, d2 = vid_back(i + 1, j + 1), vid_back(i, j + 1)
-            faces.append((a2, c2, b2))
-            faces.append((a2, d2, c2))
-    return Mesh(verts, np.array(faces, dtype=np.int64))
+    def corners(ids):
+        """Ids at (i, j), (i+1, j), (i+1, j+1), (i, j+1) of every cell."""
+        return ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]
+
+    a, b, c, d = corners(front_id)
+    a2, b2, c2, d2 = corners(back_id)
+    # per cell, j outer and i inner: two front faces, then two back faces
+    # with flipped winding
+    faces = np.stack([a, b, c, a, c, d, a2, c2, b2, a2, d2, c2], axis=-1)
+    return Mesh(verts, faces.reshape(-1, 3))

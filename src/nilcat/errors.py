@@ -1,5 +1,9 @@
 """Exception types shared by the nilcat modules."""
 
+# Largest argument allowed into exp, cosh and sinh; float64 overflows just
+# past 709.78.  Samplers raise RangeError beyond it.
+ARG_MAX = 700.0
+
 
 class NilcatError(Exception):
     """Base class for all nilcat errors."""

@@ -19,12 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, RangeError, ResolutionError
+from .errors import ARG_MAX, DomainError, RangeError, ResolutionError
 from .meshes import Mesh, grid_mesh_faces
 from .nil3 import Nil3Point, from_y
 from .profile import AnnulusParams, Profile, solve_profile
-
-A_MAX = 700.0
 
 
 class HelicoidModel:
@@ -42,8 +40,8 @@ class HelicoidModel:
         v = np.asarray(v, dtype=float)
         u, v = np.broadcast_arrays(u, v)
         A = self.alpha * v
-        if np.any(np.abs(A) > A_MAX):
-            raise RangeError(f"|alpha v| exceeds {A_MAX} (sinh overflow)")
+        if np.any(np.abs(A) > ARG_MAX):
+            raise RangeError(f"|alpha v| exceeds {ARG_MAX} (sinh overflow)")
         pv = self.profile.eval(u)
         sh = np.sinh(A)
         r = pv.Gprime / self.alpha * sh

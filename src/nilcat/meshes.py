@@ -5,13 +5,22 @@ fully deterministic: fixed float formatting, no timestamps, sorted JSON
 keys.  OBJ is ASCII with 17 significant digits; PLY is binary
 little-endian with float64 vertex coordinates, so a round trip through
 read_ply is bit-exact.
+
+All file I/O is whole-array: the OBJ writer formats every vertex and face
+record in one pass, the OBJ reader picks out the `v` and `f` records with
+one regular-expression scan each and parses each block in one `np.loadtxt`,
+and the PLY face block is one structured array (a uchar count and three int32
+indices per face) written with `tobytes` and read with `np.frombuffer`.
+Undirected edges are encoded as int64 keys lo * n_vertices + hi, so edge
+counting is one 1-D `np.unique`; the key order is the lexicographic order
+of the (lo, hi) pairs.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
+import re
 import tempfile
 from dataclasses import dataclass
 
@@ -47,25 +56,27 @@ class Mesh:
         return len(self.faces)
 
 
+def _edge_keys(mesh: Mesh) -> np.ndarray:
+    """One int64 key lo * n_vertices + hi per face side (lo < hi)."""
+    a = mesh.faces
+    b = np.roll(a, -1, axis=1)
+    return np.minimum(a, b) * mesh.n_vertices + np.maximum(a, b)
+
+
 def undirected_edges(mesh: Mesh) -> np.ndarray:
     """Unique undirected edges as a sorted (k, 2) array."""
-    e = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]],
-                        mesh.faces[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    return np.unique(e, axis=0)
+    lo, hi = np.divmod(np.unique(_edge_keys(mesh)), mesh.n_vertices)
+    return np.stack([lo, hi], axis=1)
 
 
 def euler_characteristic(mesh: Mesh) -> int:
     """V - E + F; 0 for an annulus with open boundary rings."""
-    return mesh.n_vertices - len(undirected_edges(mesh)) + mesh.n_faces
+    return mesh.n_vertices - len(np.unique(_edge_keys(mesh))) + mesh.n_faces
 
 
 def boundary_edge_count(mesh: Mesh) -> int:
     """Edges used by exactly one face."""
-    e = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]],
-                        mesh.faces[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    _, counts = np.unique(e, axis=0, return_counts=True)
+    _, counts = np.unique(_edge_keys(mesh), return_counts=True)
     return int(np.sum(counts == 1))
 
 
@@ -86,27 +97,41 @@ def _atomic_write_bytes(path, data: bytes):
 
 
 def write_obj(mesh: Mesh, path):
-    lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for a, b, c in mesh.faces:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    v_lines = "v %.17g %.17g %.17g\n" * mesh.n_vertices
+    f_lines = "f %d %d %d\n" * mesh.n_faces
+    text = v_lines % tuple(mesh.vertices.ravel().tolist()) \
+        + f_lines % tuple((mesh.faces + 1).ravel().tolist())
+    _atomic_write_bytes(path, text.encode())
+
+
+def _obj_records(text: str, key: str) -> str:
+    """The rest of every line whose first token is key, newline-joined.
+
+    Every line of text must follow a newline: searching for that literal
+    is much faster than trying a multiline '^' at every character.
+    """
+    pattern = rf"\n[^\S\n]*{key}(?!\S)[^\S\n]*(.*)"
+    return "\n".join(re.findall(pattern, text))
+
+
+def _first_three(block: str, dtype) -> np.ndarray:
+    """The first three numbers on each line of block, as an (n, 3) array."""
+    if not block:  # np.loadtxt warns on no data
+        return np.empty((0, 3), dtype=dtype)
+    lines = block.split("\n")
+    out = np.loadtxt(lines, dtype=dtype, usecols=(0, 1, 2), ndmin=2)
+    if len(out) != len(lines):  # np.loadtxt skips blank lines
+        raise DomainError("an OBJ record holds no numbers")
+    return out
 
 
 def read_obj(path) -> Mesh:
-    verts, faces = [], []
     with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append([float(t) for t in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append([int(t.split("/")[0]) - 1 for t in parts[1:4]])
-    return Mesh(np.array(verts, dtype=np.float64).reshape(-1, 3),
-                np.array(faces, dtype=np.int64).reshape(-1, 3))
+        text = "\n" + fh.read()
+    verts = _first_three(_obj_records(text, "v"), np.float64)
+    # a face corner 'a/b/c' keeps only its vertex index a
+    corners = re.sub(r"/\S*", "", _obj_records(text, "f"))
+    return Mesh(verts, _first_three(corners, np.int64) - 1)
 
 
 _PLY_HEADER = """ply
@@ -119,17 +144,17 @@ element face {nf}
 property list uchar int32 vertex_indices
 end_header
 """
+_PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", (3,))])
 
 
 def write_ply(mesh: Mesh, path):
-    buf = bytearray()
-    buf += _PLY_HEADER.format(nv=mesh.n_vertices, nf=mesh.n_faces).encode()
-    buf += mesh.vertices.astype("<f8").tobytes()
-    faces = mesh.faces.astype("<i4")
-    pack = struct.Struct("<Biii").pack
-    for a, b, c in faces:
-        buf += pack(3, a, b, c)
-    _atomic_write_bytes(path, bytes(buf))
+    faces = np.empty(mesh.n_faces, dtype=_PLY_FACE)
+    faces["n"] = 3
+    faces["i"] = mesh.faces
+    header = _PLY_HEADER.format(nv=mesh.n_vertices, nf=mesh.n_faces)
+    _atomic_write_bytes(path, header.encode()
+                        + mesh.vertices.astype("<f8").tobytes()
+                        + faces.tobytes())
 
 
 def read_ply(path) -> Mesh:
@@ -145,16 +170,11 @@ def read_ply(path) -> Mesh:
         elif parts[:2] == ["element", "face"]:
             nf = int(parts[2])
     verts = np.frombuffer(data, dtype="<f8", count=3 * nv, offset=end)
-    verts = verts.reshape(nv, 3)
-    off = end + 24 * nv
-    faces = np.empty((nf, 3), dtype=np.int64)
-    unpack = struct.Struct("<Biii").unpack_from
-    for k in range(nf):
-        n, a, b, c = unpack(data, off + 13 * k)
-        if n != 3:
-            raise DomainError("only triangle PLY faces are supported")
-        faces[k] = (a, b, c)
-    return Mesh(verts.copy(), faces)
+    faces = np.frombuffer(data, dtype=_PLY_FACE, count=nf,
+                          offset=end + 24 * nv)
+    if np.any(faces["n"] != 3):
+        raise DomainError("only triangle PLY faces are supported")
+    return Mesh(verts.reshape(nv, 3).copy(), faces["i"])
 
 
 def write_mesh(mesh: Mesh, fmt: str, path):
@@ -169,7 +189,7 @@ def write_mesh(mesh: Mesh, fmt: str, path):
         raise DomainError(f"unknown mesh format {fmt!r}")
 
 
-def write_csv(path, header, rows):
+def csv_text(header, rows) -> str:
     """CSV with repr-formatted floats (shortest round-trip, deterministic)."""
     def fmt(x):
         return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
@@ -177,7 +197,11 @@ def write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(x) for x in row))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, header, rows):
+    _atomic_write_bytes(path, csv_text(header, rows).encode())
 
 
 def write_json(path, obj):

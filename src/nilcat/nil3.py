@@ -22,7 +22,6 @@ must be safe for concurrent evaluation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,18 +65,6 @@ def from_y(points):
     out = p.copy()
     out[..., 2] -= 0.5 * p[..., 0] * p[..., 1]
     return out
-
-
-@dataclass(frozen=True)
-class FrameVector:
-    """Tangent vector by its components in the orthonormal frame (E1, E2, E3)."""
-
-    a1: float
-    a2: float
-    a3: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.a1 ** 2 + self.a2 ** 2 + self.a3 ** 2)
 
 
 def coord_to_frame(points, vectors):
@@ -376,10 +363,6 @@ class ResidualReport:
             "threshold": threshold,
             "pass": None if threshold is None else bool(residual <= threshold),
         }
-
-    def merge(self, other: "ResidualReport", prefix: str = ""):
-        for k, e in other.entries.items():
-            self.entries[prefix + k] = e
 
     def all_pass(self) -> bool:
         return all(e["pass"] is not False for e in self.entries.values())

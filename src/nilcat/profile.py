@@ -125,8 +125,9 @@ class Profile:
     """Dense solution of the profile system over one fundamental interval.
 
     Stores node records (u, phi, phi', beta, G, G') on a phi-uniform grid
-    over phi in [-pi, 0] (u in [0, U]), cubic splines in u for phi, beta, G,
-    and the quasi-period data (U, beta(U), G(U), V, Z).  Evaluation at
+    over phi in [-pi, 0] (u in [0, U]), one cubic spline in u whose three
+    columns are phi, beta and G (one interval search per evaluation), and
+    the quasi-period data (U, beta(U), G(U), V, Z).  Evaluation at
     arbitrary u reduces to the fundamental interval with the exact algebraic
     quasi-period laws; phi' and G' are recovered from closed forms in phi,
     never from spline derivatives.
@@ -190,14 +191,14 @@ class Profile:
         self.V = -self.betaU / self.params.alpha
         self.Z = complex(2.0 * self.U, 2.0 * self.V)
 
-        # Clamped splines: the exact endpoint derivatives are known.
+        # One clamped spline for the columns (phi, beta, G): the exact
+        # endpoint derivatives are known, and each is the same at both ends.
         p = self.params
-        dphi_du = -math.sqrt(quartic_P(p, 1.0))
-        dbeta_du = p.C
-        dG_du = (p.C ** 2 - p.cos2theta) / (p.alpha + math.sqrt(quartic_P(p, 1.0)))
-        self._phi_sp = CubicSpline(u, phi, bc_type=((1, dphi_du), (1, dphi_du)))
-        self._beta_sp = CubicSpline(u, beta, bc_type=((1, dbeta_du), (1, dbeta_du)))
-        self._G_sp = CubicSpline(u, G, bc_type=((1, dG_du), (1, dG_du)))
+        sqP1 = math.sqrt(quartic_P(p, 1.0))
+        slopes = np.array([-sqP1, p.C,
+                           (p.C ** 2 - p.cos2theta) / (p.alpha + sqP1)])
+        self._sp = CubicSpline(u, np.stack([phi, beta, G], axis=1),
+                               bc_type=((1, slopes), (1, slopes)))
 
     def _self_check(self):
         """Measure true interpolation error at cell midpoints.
@@ -210,25 +211,19 @@ class Profile:
         phi = self.phi_nodes
         mid = 0.5 * (phi[:-1] + phi[1:])
         du, dbeta, dG = self._cell_increments(mid, phi[:-1])
-        u_mid = self.u_nodes[:-1] + du
-        err = max(
-            np.max(np.abs(self._phi_sp(u_mid) - mid)),
-            np.max(np.abs(self._beta_sp(u_mid) - (self.beta_nodes[:-1] + dbeta))),
-            np.max(np.abs(self._G_sp(u_mid) - (self.G_nodes[:-1] + dG))),
-        )
+        exact = np.stack([mid, self.beta_nodes[:-1] + dbeta,
+                          self.G_nodes[:-1] + dG], axis=1)
+        err = np.max(np.abs(self._sp(self.u_nodes[:-1] + du) - exact))
         self.interp_error = float(err)
         if err > self.tol:
             raise ResolutionError(
                 f"dense output error {err:.3e} exceeds tol {self.tol:.1e}; "
                 f"increase nodes ({self.nodes_n}) or loosen tol")
-        mids = [
-            abs(float(self._phi_sp(0.5 * self.U)) + 0.5 * math.pi),
-            abs(float(self._beta_sp(0.5 * self.U)) - 0.5 * self.betaU),
-            abs(float(self._G_sp(0.5 * self.U)) - 0.5 * self.GU),
-        ]
-        if max(mids) > 100 * max(self.tol, 1e-14):
+        mids = np.abs(self._sp(0.5 * self.U)
+                      - [-0.5 * math.pi, 0.5 * self.betaU, 0.5 * self.GU])
+        if mids.max() > 100 * max(self.tol, 1e-14):
             raise ResolutionError(
-                f"midpoint identities violated at {max(mids):.3e}; grid or "
+                f"midpoint identities violated at {mids.max():.3e}; grid or "
                 f"quadrature is inconsistent")
 
     # -- evaluation --------------------------------------------------------
@@ -246,9 +241,10 @@ class Profile:
         over = u0 >= self.U
         u0[over] -= self.U
         k[over] += 1.0
-        phi = self._phi_sp(u0) - k * np.pi
-        beta = self._beta_sp(u0) + k * self.betaU
-        G = self._G_sp(u0) + k * self.GU
+        y = self._sp(u0)
+        phi = y[:, 0] - k * np.pi
+        beta = y[:, 1] + k * self.betaU
+        G = y[:, 2] + k * self.GU
         p = self.params
         c2 = np.cos(phi) ** 2
         sqP = np.sqrt(p.alpha ** 2 + p.cos2theta * c2 - p.C ** 2 * c2 * c2)
@@ -263,9 +259,6 @@ class Profile:
 
     def __call__(self, u) -> ProfileValues:
         return self.eval(u)
-
-    def phi(self, u):
-        return self.eval(u).phi
 
     def to_csv(self, path, n: int | None = None):
         """Dump node records (or n uniform-in-u samples) for external checks."""

@@ -6,7 +6,15 @@ the printed integrands, plus bisection.  The library integrates the profile
 ODE in phi with Gauss cells and evaluates the period integral with a
 periodic trapezoidal rule; none of that machinery is used here, so
 agreement is a genuine cross-check.
+
+The mesh data plane has per-element oracles: OBJ and PLY writers and
+readers that handle one line or one face at a time, edge lists from
+`np.unique(axis=0)` over sorted index pairs, and the face list of the
+reflected CMC mesh built cell by cell.  The library does each of these as
+whole-array operations.
 """
+
+import struct
 
 import numpy as np
 from scipy.integrate import quad
@@ -149,3 +157,120 @@ def fd2_5pt(f, x, h):
     """5-point second derivative."""
     return (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x)
             + 16 * f(x + h) - f(x + 2 * h)) / (12 * h * h)
+
+
+# -- mesh data plane -------------------------------------------------------
+
+def obj_bytes(vertices, faces):
+    """OBJ text, one formatted line per vertex and per face."""
+    lines = []
+    for x, y, z in vertices:
+        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
+    for a, b, c in faces:
+        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def read_obj(path):
+    """(vertices, faces) of an OBJ file, parsed line by line."""
+    verts, faces = [], []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "v":
+                verts.append([float(t) for t in parts[1:4]])
+            elif parts[0] == "f":
+                faces.append([int(t.split("/")[0]) - 1 for t in parts[1:4]])
+    return (np.array(verts, dtype=np.float64).reshape(-1, 3),
+            np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+PLY_HEADER = """ply
+format binary_little_endian 1.0
+element vertex {nv}
+property double x
+property double y
+property double z
+element face {nf}
+property list uchar int32 vertex_indices
+end_header
+"""
+
+
+def ply_bytes(vertices, faces):
+    """Binary PLY, packed one face at a time."""
+    header = PLY_HEADER.format(nv=len(vertices), nf=len(faces))
+    buf = bytearray(header.encode())
+    buf += np.asarray(vertices, dtype="<f8").tobytes()
+    pack = struct.Struct("<Biii").pack
+    for a, b, c in np.asarray(faces, dtype="<i4"):
+        buf += pack(3, a, b, c)
+    return bytes(buf)
+
+
+def read_ply(path):
+    """(vertices, faces) of a binary PLY file, unpacked one face at a time."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.index(b"end_header\n") + len(b"end_header\n")
+    nv = nf = 0
+    for line in data[:end].decode().splitlines():
+        parts = line.split()
+        if parts[:2] == ["element", "vertex"]:
+            nv = int(parts[2])
+        elif parts[:2] == ["element", "face"]:
+            nf = int(parts[2])
+    verts = np.frombuffer(data, dtype="<f8", count=3 * nv, offset=end)
+    off = end + 24 * nv
+    faces = np.empty((nf, 3), dtype=np.int64)
+    unpack = struct.Struct("<Biii").unpack_from
+    for k in range(nf):
+        n, a, b, c = unpack(data, off + 13 * k)
+        assert n == 3, "only triangle faces"
+        faces[k] = (a, b, c)
+    return verts.reshape(nv, 3).copy(), faces
+
+
+def undirected_edges(faces):
+    """Unique undirected edges, lexicographically sorted (k, 2)."""
+    faces = np.asarray(faces)
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    return np.unique(np.sort(e, axis=1), axis=0)
+
+
+def boundary_edge_count(faces):
+    """Edges used by exactly one face."""
+    faces = np.asarray(faces)
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    _, counts = np.unique(np.sort(e, axis=1), axis=0, return_counts=True)
+    return int(np.sum(counts == 1))
+
+
+def reflect_faces(nu, nv):
+    """Faces of the reflected CMC mesh on an nu x nv grid, cell by cell.
+
+    Front vertex (i, j) has id j nu + i; the back sheet shares columns 0
+    and nu - 1 and numbers its inner columns after the front sheet.
+    """
+    def vid(i, j):
+        return j * nu + i
+
+    def vid_back(i, j):
+        if i == 0 or i == nu - 1:
+            return vid(i, j)
+        return nu * nv + j * (nu - 2) + (i - 1)
+
+    faces = []
+    for j in range(nv - 1):
+        for i in range(nu - 1):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            faces.append((a, b, c))
+            faces.append((a, c, d))
+            a2, b2 = vid_back(i, j), vid_back(i + 1, j)
+            c2, d2 = vid_back(i + 1, j + 1), vid_back(i, j + 1)
+            faces.append((a2, c2, b2))
+            faces.append((a2, d2, c2))
+    return np.array(faces, dtype=np.int64)

@@ -338,6 +338,12 @@ class TestReflectAndMesh:
         assert euler_characteristic(mesh) == 0
         assert boundary_edge_count(mesh) == 2 * (2 * 48 - 2)
 
+    @pytest.mark.parametrize("nu,nv", [(16, 2), (24, 12), (100, 50)])
+    def test_faces_match_cell_loop(self, cmc1, nu, nv):
+        mesh = reflect_and_mesh(cmc1, nu=nu, nv=nv, v_range=(-1.0, 1.0))
+        assert mesh.faces.dtype == np.int64
+        assert np.array_equal(mesh.faces, oracles.reflect_faces(nu, nv))
+
     def test_weld_is_exact(self, cmc1):
         mesh = reflect_and_mesh(cmc1, nu=32, nv=16, v_range=(-1.0, 1.0))
         # every vertex is used by some face (no orphan duplicates)
