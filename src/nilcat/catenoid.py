@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ARG_MAX, DomainError, RangeError, ResolutionError
 from .meshes import Mesh, grid_mesh_faces
 from .nil3 import Nil3Point
-from .period import find_theta_tilde
+from .period import check_period_defect, find_theta_tilde
 from .profile import AnnulusParams, Profile, solve_profile
 
 
@@ -106,10 +106,7 @@ def build_catenoid(alpha: float, tol: float = 1e-11,
     kwargs = {} if nodes is None else {"nodes": nodes}
     profile = solve_profile(AnnulusParams(alpha, theta), **kwargs)
     model = CatenoidModel(profile.params, profile)
-    if model.period_defect > 1e-9:
-        raise DomainError(
-            f"period identity defect {model.period_defect:.3e} too large; "
-            f"the theta root did not converge")
+    check_period_defect(model.period_defect)
     return model
 
 

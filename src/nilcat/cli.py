@@ -1,6 +1,11 @@
 """Command-line interface: period solving, mesh export, curve export, and
 the one-shot verification suite.
 
+One argument parser serves every command: a positional command name and
+one shared set of options, which may come before or after it.
+`solve-period` reports the full-period constants U, beta(U), G(U) and V
+from the period rule's one pass at the root; it builds no dense profile.
+
 Exit codes: 0 on success, 1 when a verification threshold fails, 2 on a
 usage error.  All artifacts are written atomically with deterministic
 formatting (no timestamps); identical invocations produce byte-identical
@@ -21,10 +26,12 @@ import numpy as np
 from .catenoid import build_catenoid, limit_deviation, mesh_catenoid, \
     section_curve, waist_extent
 from .cmc import build_cmc_annulus, reflect_and_mesh
-from .errors import NilcatError
+from .errors import NilcatError, QuadratureError
 from .helicoid import build_helicoid, mesh_helicoid
 from .meshes import _atomic_write_bytes, csv_text, write_mesh
-from .period import appendix_I_decomposition
+from .period import appendix_I_decomposition, check_period_defect, \
+    find_theta_tilde
+from .profile import AnnulusParams
 from .verify import run_verification, thread_count
 
 COMMANDS = ("solve-period", "mesh-catenoid", "mesh-helicoid", "mesh-cmc",
@@ -103,16 +110,21 @@ def _emit(payload: str, out):
 
 
 def _period_record(alpha, tol):
-    model = build_catenoid(alpha, tol=tol)
-    theta = model.theta_tilde
+    theta = find_theta_tilde(alpha, tol=tol)
     d = appendix_I_decomposition(alpha, theta)
+    if not d.converged:
+        raise QuadratureError(
+            f"period constants did not converge at alpha={alpha}: error "
+            f"estimate {d.quadrature_error_estimate:.3e}")
+    check_period_defect(abs(alpha * d.GU
+                            + AnnulusParams(alpha, theta).C * d.betaU))
     return {
         "alpha": alpha,
         "theta_tilde": theta,
         "L_residual": d.L,
         "I1": d.I1, "I2": d.I2, "I3": d.I3,
-        "U": model.U, "betaU": model.profile.betaU, "GU": model.profile.GU,
-        "V": model.V,
+        "U": d.U, "betaU": d.betaU, "GU": d.GU,
+        "V": -d.betaU / alpha,
     }
 
 
@@ -198,21 +210,18 @@ def build_parser():
         description="Horizontal minimal catenoids and helicoids in the "
                     "Heisenberg group and their CMC 1/2 sister annuli: "
                     "construction, verification, mesh export.")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--alpha-sweep", type=str, default=None,
-                        metavar="A:B:N")
-        sp.add_argument("--tol", type=float, default=1e-11)
-        sp.add_argument("--nu", type=int, default=64)
-        sp.add_argument("--nv", type=int, default=64)
-        sp.add_argument("--v-range", type=str, default="-2:2", metavar="LO:HI")
-        sp.add_argument("--section-c", type=float, default=0.0)
-        sp.add_argument("--samples", type=int, default=1024)
-        sp.add_argument("--format", dest="fmt", type=str, default=None,
-                        choices=("obj", "ply", "csv", "json"))
-        sp.add_argument("--out", type=str, default=None)
+    p.add_argument("command", choices=COMMANDS)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha-sweep", type=str, default=None, metavar="A:B:N")
+    p.add_argument("--tol", type=float, default=1e-11)
+    p.add_argument("--nu", type=int, default=64)
+    p.add_argument("--nv", type=int, default=64)
+    p.add_argument("--v-range", type=str, default="-2:2", metavar="LO:HI")
+    p.add_argument("--section-c", type=float, default=0.0)
+    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--format", dest="fmt", type=str, default=None,
+                   choices=("obj", "ply", "csv", "json"))
+    p.add_argument("--out", type=str, default=None)
     return p
 
 

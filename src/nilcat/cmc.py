@@ -146,7 +146,9 @@ class CmcAnnulusModel:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         self._check_v(v)
-        pv = self.profile.eval(u)
+        return self._hstar_from(self.profile.eval(u), v)
+
+    def _hstar_from(self, pv, v):
         return np.cos(pv.phi) * np.cosh(self.alpha * v) \
             / (self.alpha * (pv.phiprime - self.alpha))
 
@@ -197,10 +199,12 @@ class CmcAnnulusModel:
         v = np.asarray(v, dtype=float)
         u, v = np.broadcast_arrays(u, v)
         self._check_v(v)
+        return self._hyperboloid_from(self.profile.eval(u),
+                                      self.conjugate.eval(u)[0], v)
+
+    def _hyperboloid_from(self, pv, phis, v):
         a, a_s = self.alpha, self.alpha_star
-        pv = self.profile.eval(u)
         speed = -pv.phiprime
-        phis, _ = self.conjugate.eval(u)
         delta = 1.0 / (a_s + a)
         b = delta * np.sin(pv.phi) ** 2 \
             / ((a_s + speed) * a_s * (a + speed))
@@ -229,7 +233,10 @@ class CmcAnnulusModel:
 
     def disk_point(self, u, v):
         """Disk coordinate F* = (X1 + i X2) / (1 + X3), shape (...)."""
-        X = self.hyperboloid_point(u, v)
+        return self._disk_from(self.hyperboloid_point(u, v))
+
+    @staticmethod
+    def _disk_from(X):
         X3 = X[..., 2]
         if np.any(X3 + 1.0 <= 0.0):
             raise DomainError("hyperboloid lift left the upper sheet")
@@ -239,11 +246,18 @@ class CmcAnnulusModel:
         return disk
 
     def xyz(self, u, v) -> np.ndarray:
-        """Product-space sampler (Re F*, Im F*, h*), shape (..., 3)."""
-        disk = self.disk_point(u, v)
-        h = self.hstar(u, v)
-        return np.stack([disk.real, disk.imag,
-                         np.broadcast_to(h, disk.shape)], axis=-1)
+        """Product-space sampler (Re F*, Im F*, h*), shape (..., 3).
+
+        Evaluates each profile once for both the disk point and the height.
+        """
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                   np.asarray(v, dtype=float))
+        self._check_v(v)
+        pv = self.profile.eval(u)
+        disk = self._disk_from(
+            self._hyperboloid_from(pv, self.conjugate.eval(u)[0], v))
+        h = self._hstar_from(pv, v)
+        return np.stack([disk.real, disk.imag, h], axis=-1)
 
     def __call__(self, u, v) -> np.ndarray:
         return self.xyz(u, v)

@@ -11,9 +11,12 @@ smooth and pi-periodic.  The plain trapezoidal rule converges exponentially
 on such integrands (Trefethen & Weideman, SIAM Review 56, 2014).  The rule
 starts at 16 nodes and doubles, reusing every node already evaluated, until
 the n- and 2n-node sums agree to the requested tolerance; that difference
-is the reported error estimate.  L is negative at theta = 0, increasing in
-theta, and tends to +infinity at the admissibility boundary, so the root is
-unique and a sign-checked bracket makes Brent's method safe.
+is the reported error estimate.  The full-period constants U, beta(U) and
+G(U) are integrals of functions of cos^2 phi = x^2 too, so the same rule
+gives them, in the pass that also evaluates the asymptotic integrals I1-I3.
+L is negative at theta = 0, increasing in theta, and tends to +infinity at
+the admissibility boundary, so the root is unique and a sign-checked
+bracket makes Brent's method safe.
 """
 
 from __future__ import annotations
@@ -53,6 +56,9 @@ class PeriodIntegrals:
     I1: float | None = None
     I2: float | None = None
     I3: float | None = None
+    U: float | None = None
+    betaU: float | None = None
+    GU: float | None = None
 
 
 def _periodic_trapezoid(rows, tol):
@@ -121,23 +127,28 @@ def L_integral(params: AnnulusParams, tol: float = DEFAULT_QUAD_TOL,
 
 def appendix_I_decomposition(alpha: float, theta: float,
                              tol: float = DEFAULT_QUAD_TOL) -> PeriodIntegrals:
-    """The three asymptotic integrals with alpha L = I1 - cos(2 theta) I2 + I3.
+    """The three asymptotic integrals with alpha L = I1 - cos(2 theta) I2 + I3,
+    and the full-period constants U, beta(U) and G(U) from the same pass.
 
-    Asserts the printed lower bound
+    With cos^2 phi = x^2 the profile's increments over one half-period are
+    dU = dt / sqrt(P), dbeta = C x^2 dU and dG = (C^2 x^2 - cos 2 theta)
+    dU / (alpha + sqrt(P)), so alpha G(U) + C beta(U) integrates exactly L's
+    integrand.  Asserts the printed lower bound
     I2 >= pi alpha^2 / (sqrt(alpha^2 + 1) (alpha + sqrt(alpha^2 + 1))),
     which only uses P <= alpha^2 + 1 on [-1, 1].
     """
     params = AnnulusParams(alpha, theta)
     _check_omega(params)
-    a, C = params.alpha, params.C
+    a, C, c2t = params.alpha, params.C, params.cos2theta
 
     def rows(x2):
         sq, d, L = _sqrtP_denominator_L(params, x2)
         C2x2 = C * C * x2
         return np.stack([L, 2.0 * a * a * C2x2 / d, a * a / d,
-                         a * C2x2 / (a + sq)])
+                         a * C2x2 / (a + sq), 1.0 / sq, C * x2 / sq,
+                         (C2x2 - c2t) / d])
 
-    (L, I1, I2, I3), err, ok = _periodic_trapezoid(rows, tol)
+    (L, I1, I2, I3, U, betaU, GU), err, ok = _periodic_trapezoid(rows, tol)
     s = math.sqrt(a * a + 1.0)
     bound = math.pi * a * a / (s * (a + s))
     if I2 < bound - 10 * max(tol, err):
@@ -146,7 +157,18 @@ def appendix_I_decomposition(alpha: float, theta: float,
             f"contradicts P <= alpha^2 + 1 and indicates a quadrature bug")
     return PeriodIntegrals(L=float(L), quadrature_error_estimate=err,
                            converged=ok, I1=float(I1), I2=float(I2),
-                           I3=float(I3))
+                           I3=float(I3), U=float(U), betaU=float(betaU),
+                           GU=float(GU))
+
+
+def check_period_defect(defect: float) -> None:
+    """Raise DomainError when the period identity's defect
+    |alpha G(U) + C beta(U)| exceeds 1e-9: the annulus does not close, so
+    theta is not the root of L."""
+    if defect > 1e-9:
+        raise DomainError(
+            f"period identity defect {defect:.3e} too large; the theta root "
+            f"did not converge")
 
 
 def find_theta_tilde(alpha: float, tol: float = DEFAULT_ROOT_TOL) -> float:

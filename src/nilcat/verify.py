@@ -114,7 +114,8 @@ def _profile_checks(report, model):
         report.add(f"profile.identity.{name}", r, threshold=1e-8)
 
 
-def _period_checks(report, alpha, theta, tol):
+def _period_checks(report, model):
+    alpha, theta = model.alpha, model.theta_tilde
     report.add("period.root_residual",
                abs(L_integral(AnnulusParams(alpha, theta)).L), threshold=1e-10)
     _bool_check(report, "period.L_negative_at_theta_zero",
@@ -129,11 +130,24 @@ def _period_checks(report, alpha, theta, tol):
                 bool(np.all(np.diff([r.L for r in rungs])
                             > err[:-1] + err[1:])))
     d = appendix_I_decomposition(alpha, theta)
+
+    def resolved(residual):
+        # values of an unconverged pass are unresolved: checks on them fail
+        return residual if d.converged else math.inf
+
     report.add("period.I_split_identity",
-               abs(d.I1 - math.cos(2 * theta) * d.I2 + d.I3), threshold=1e-8)
+               resolved(abs(d.I1 - math.cos(2 * theta) * d.I2 + d.I3)),
+               threshold=1e-8)
     s = math.sqrt(alpha ** 2 + 1)
     _bool_check(report, "period.I2_lower_bound",
-                d.I2 >= math.pi * alpha ** 2 / (s * (alpha + s)))
+                d.converged
+                and d.I2 >= math.pi * alpha ** 2 / (s * (alpha + s)))
+    # ties the constants solve-period reports to the profile meshes use
+    prof = model.profile
+    report.add("period.constants_match_profile",
+               resolved(max(abs(x - y) / max(1.0, abs(y)) for x, y in
+                            ((d.U, prof.U), (d.betaU, prof.betaU),
+                             (d.GU, prof.GU)))), threshold=1e-12)
 
 
 def _catenoid_checks(report, model):
@@ -322,7 +336,7 @@ def run_verification(alpha: float = 1.0, tol: float = 1e-11) -> ResidualReport:
     report = ResidualReport()
     _christoffel_selftest(report)
     model = build_catenoid(alpha, tol=tol)
-    _period_checks(report, alpha, model.theta_tilde, tol)
+    _period_checks(report, model)
     _profile_checks(report, model)
     _catenoid_checks(report, model)
     _helicoid_checks(report, alpha)

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-import nilcat.catenoid as cat_mod
 import nilcat.cli as cli_mod
-from nilcat.cli import JobConfig, UsageError, config_from_args, build_parser, main
+from nilcat.cli import COMMANDS, JobConfig, UsageError, config_from_args, \
+    build_parser, main
 from nilcat.meshes import euler_characteristic, read_obj, read_ply
 from nilcat.nil3 import ResidualReport
 from nilcat.period import find_theta_tilde
@@ -41,6 +44,32 @@ class TestConfig:
             ["solve-period", "--alpha-sweep", "1:2:3"])
         cfg = config_from_args(args)
         assert cfg.alphas == [1.0, 1.5, 2.0]
+
+
+class TestParser:
+    def test_help_lists_every_command(self):
+        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+        out = subprocess.run([sys.executable, "-m", "nilcat.cli", "--help"],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0
+        for name in COMMANDS:
+            assert name in out.stdout
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mesh-torus", "--alpha", "1"])
+        assert exc.value.code == 2
+
+    def test_options_before_command(self):
+        tail = ["--alpha-sweep", "1:2:3", "--v-range", "-3:1", "--format",
+                "csv", "--samples", "64"]
+        before = build_parser().parse_args(
+            cli_mod._glue_dash_values(tail + ["section"]))
+        after = build_parser().parse_args(
+            cli_mod._glue_dash_values(["section"] + tail))
+        assert vars(before) == vars(after)
+        assert config_from_args(before) == config_from_args(after)
 
 
 class TestCommands:
@@ -126,7 +155,7 @@ class TestCommands:
 
         # a threaded sweep would append in completion order
         monkeypatch.setenv("NILCAT_THREADS", "1")
-        monkeypatch.setattr(cat_mod, "find_theta_tilde", counting)
+        monkeypatch.setattr(cli_mod, "find_theta_tilde", counting)
         assert run_cli("solve-period", "--alpha-sweep", "0.5:2:3",
                        "--format", "csv", "--out",
                        str(tmp_path / "s.csv")) == 0

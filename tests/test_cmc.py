@@ -344,6 +344,31 @@ class TestReflectAndMesh:
         assert mesh.faces.dtype == np.int64
         assert np.array_equal(mesh.faces, oracles.reflect_faces(nu, nv))
 
+    def test_one_profile_evaluation(self, cmc1, monkeypatch):
+        calls = {"profile": 0, "conjugate": 0}
+
+        def counting(name, fn):
+            def wrapped(u):
+                calls[name] += 1
+                return fn(u)
+            return wrapped
+
+        monkeypatch.setattr(cmc1.profile, "eval",
+                            counting("profile", cmc1.profile.eval))
+        monkeypatch.setattr(cmc1.conjugate, "eval",
+                            counting("conjugate", cmc1.conjugate.eval))
+        reflect_and_mesh(cmc1, nu=64, nv=32, v_range=(-1.0, 1.0))
+        assert calls == {"profile": 1, "conjugate": 1}
+
+    def test_xyz_equals_disk_point_and_height(self, cmc1):
+        rng = np.random.default_rng(11)
+        u = rng.uniform(-cmc1.U, cmc1.U, (7, 9))
+        v = rng.uniform(-1.0, 1.0, 9)
+        disk = cmc1.disk_point(u, v)
+        h = np.broadcast_to(cmc1.hstar(u, v), disk.shape)
+        assert np.array_equal(cmc1.xyz(u, v),
+                              np.stack([disk.real, disk.imag, h], axis=-1))
+
     def test_weld_is_exact(self, cmc1):
         mesh = reflect_and_mesh(cmc1, nu=32, nv=16, v_range=(-1.0, 1.0))
         # every vertex is used by some face (no orphan duplicates)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -8,10 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
+import nilcat.catenoid as cat_mod
 import oracles
 from nilcat import AnnulusParams, DomainError, QuadratureError
-from nilcat import period
+from nilcat import cli, period
 from nilcat.period import L_integral, appendix_I_decomposition, find_theta_tilde
+from nilcat.profile import solve_profile
 
 from test_profile import THETA_TILDE_1
 
@@ -153,6 +156,21 @@ class TestAppendixDecomposition:
             s = math.sqrt(alpha ** 2 + 1)
             assert d.I2 >= math.pi * alpha ** 2 / (s * (alpha + s))
 
+    @pytest.mark.parametrize(
+        "alpha", [0.02, 0.05, 0.2, 0.7, 1.0, 3.0, 10.0, 100.0])
+    def test_period_constants_against_simpson_oracle(self, alpha):
+        # the Simpson oracles sit on smooth periodic integrands too, so 1e4
+        # intervals already reach roundoff
+        tt = find_theta_tilde(alpha)
+        d = appendix_I_decomposition(alpha, tt)
+        assert d.converged
+        for mine, oracle in ((d.U, oracles.u_period),
+                             (d.betaU, oracles.beta_period),
+                             (d.GU, oracles.G_period)):
+            assert abs(mine - oracle(alpha, tt, n=10 ** 4)) <= 1e-12
+        C = math.sin(2 * tt) / (2 * alpha)
+        assert abs(alpha * d.GU + C * d.betaU - d.L) <= 1e-12
+
     def test_tail_integrals_quadratic_decay(self):
         # I1 ~ pi / (8 alpha^2) and I3 ~ pi / (16 alpha^2) at the root, so
         # K = 1 has ample headroom
@@ -161,6 +179,51 @@ class TestAppendixDecomposition:
         d = appendix_I_decomposition(alpha, find_theta_tilde(alpha))
         assert d.I1 <= K / alpha ** 2
         assert d.I3 <= K / alpha ** 2
+
+
+class TestSolvePeriodCommand:
+    def _count_profile_builds(self, monkeypatch, *argv):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_profile(*args, **kwargs)
+
+        monkeypatch.setattr(cat_mod, "solve_profile", counting)
+        assert cli.main(list(argv)) == 0
+        return len(calls)
+
+    def test_no_dense_profile(self, tmp_path, monkeypatch):
+        assert self._count_profile_builds(
+            monkeypatch, "solve-period", "--alpha", "1.5",
+            "--out", str(tmp_path / "p.json")) == 0
+        assert self._count_profile_builds(
+            monkeypatch, "mesh-catenoid", "--alpha", "1.5", "--nu", "16",
+            "--nv", "4", "--out", str(tmp_path / "m.obj")) == 1
+
+    def test_small_alpha(self, tmp_path):
+        # the 4096-cell dense profile cannot reach its 1e-12 self-check at
+        # alpha = 0.05; the period constants need none
+        out = tmp_path / "p.json"
+        assert cli.main(["solve-period", "--alpha", "0.05",
+                         "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())
+        assert rec["V"] == -rec["betaU"] / 0.05
+
+    def test_unconverged_pass_exits_1(self, monkeypatch, capsys):
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(
+                appendix_I_decomposition(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(cli, "appendix_I_decomposition", unconverged)
+        assert cli.main(["solve-period", "--alpha", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unsolved_theta_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "find_theta_tilde",
+                            lambda alpha, tol: 0.5 * find_theta_tilde(alpha))
+        assert cli.main(["solve-period", "--alpha", "1"]) == 1
+        assert "period identity defect" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_integrate():

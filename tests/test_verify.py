@@ -7,7 +7,8 @@ import pytest
 import nilcat.catenoid as cat_mod
 from nilcat import verify
 from nilcat.nil3 import ResidualReport
-from nilcat.period import L_integral, find_theta_tilde
+from nilcat.period import L_integral, appendix_I_decomposition, \
+    find_theta_tilde
 from nilcat.profile import AnnulusParams
 from nilcat.verify import run_verification
 
@@ -32,10 +33,14 @@ def test_one_theta_solve(monkeypatch):
     assert calls == [2.0]
 
 
-def _ladder_check(alpha):
+def _period_report(alpha):
     report = ResidualReport()
-    verify._period_checks(report, alpha, find_theta_tilde(alpha), 1e-11)
-    return report.entries["period.L_increasing_ladder"]
+    verify._period_checks(report, cat_mod.build_catenoid(alpha))
+    return report
+
+
+def _ladder_check(alpha):
+    return _period_report(alpha).entries["period.L_increasing_ladder"]
 
 
 @pytest.mark.parametrize("alpha", [0.7, 0.705])
@@ -59,3 +64,21 @@ def test_L_ladder_fails_when_errors_swamp_the_steps(monkeypatch):
 
     monkeypatch.setattr(verify, "L_integral", noisy)
     assert _ladder_check(0.7)["pass"] is False
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.7, 1.0, 7.0, 100.0])
+def test_period_constants_match_profile(alpha):
+    entry = _period_report(alpha).entries["period.constants_match_profile"]
+    assert entry["pass"] and entry["threshold"] == 1e-12
+
+
+def test_unconverged_constants_fail_their_checks(monkeypatch):
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(appendix_I_decomposition(*args, **kwargs),
+                                   converged=False)
+
+    monkeypatch.setattr(verify, "appendix_I_decomposition", unconverged)
+    entries = _period_report(1.0).entries
+    for name in ("period.I_split_identity", "period.I2_lower_bound",
+                 "period.constants_match_profile"):
+        assert entries[name]["pass"] is False, name
