@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ARG_MAX, DomainError, RangeError, ResolutionError
 from .meshes import Mesh, grid_mesh_faces
-from .nil3 import Nil3Point
+from .nil3 import STENCIL5, Nil3Point, stencil5
 from .period import check_period_defect, find_theta_tilde
 from .profile import AnnulusParams, Profile, solve_profile
 
@@ -97,14 +97,12 @@ class CatenoidModel:
         return 0.25 * np.exp(-2j * self.theta_tilde)
 
 
-def build_catenoid(alpha: float, tol: float = 1e-11,
-                   nodes: int | None = None) -> CatenoidModel:
+def build_catenoid(alpha: float, tol: float = 1e-11) -> CatenoidModel:
     """Solve the period problem at alpha and assemble the annulus model."""
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     theta = find_theta_tilde(alpha, tol=tol)
-    kwargs = {} if nodes is None else {"nodes": nodes}
-    profile = solve_profile(AnnulusParams(alpha, theta), **kwargs)
+    profile = solve_profile(AnnulusParams(alpha, theta))
     model = CatenoidModel(profile.params, profile)
     check_period_defect(model.period_defect)
     return model
@@ -177,15 +175,12 @@ def section_curve(model: CatenoidModel, c: float, n: int = 1024) -> SectionCurve
     if model.params.C == 0:
         raise DomainError("sections need C != 0 (theta > 0)")
     u = np.linspace(-model.U, model.U, n)
-    y1, y3, v = _section_y(model, c, u)
+    h = 1e-4 * max(1.0, model.U)
+    y1s, y3s, vs = _section_y(model, c, np.add.outer(h * STENCIL5, u))
+    y1, y3, v = y1s[2], y3s[2], vs[2]
     gap = math.hypot(y1[-1] - y1[0], y3[-1] - y3[0])
 
-    h = 1e-4 * max(1.0, model.U)
-    vals = [_section_y(model, c, u + k * h)[:2] for k in (-2, -1, 1, 2)]
-    d1 = [(vals[0][i] - 8 * vals[1][i] + 8 * vals[2][i] - vals[3][i])
-          / (12 * h) for i in (0, 1)]
-    d2 = [(-vals[0][i] + 16 * vals[1][i] - 30 * np.array((y1, y3)[i])
-           + 16 * vals[2][i] - vals[3][i]) / (12 * h * h) for i in (0, 1)]
+    d1, d2 = zip(stencil5(y1s, h), stencil5(y3s, h))
     speed2 = d1[0] ** 2 + d1[1] ** 2
     curvature = (d1[0] * d2[1] - d1[1] * d2[0]) / speed2 ** 1.5
 

@@ -9,7 +9,7 @@ from the period rule's one pass at the root; it builds no dense profile.
 Exit codes: 0 on success, 1 when a verification threshold fails, 2 on a
 usage error.  All artifacts are written atomically with deterministic
 formatting (no timestamps); identical invocations produce byte-identical
-files.  NILCAT_THREADS caps the worker count for alpha sweeps.
+files.  An alpha sweep runs its alphas one after another, in order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from .meshes import _atomic_write_bytes, csv_text, write_mesh
 from .period import appendix_I_decomposition, check_period_defect, \
     find_theta_tilde
 from .profile import AnnulusParams
-from .verify import run_verification, thread_count
+from .verify import run_verification
 
 COMMANDS = ("solve-period", "mesh-catenoid", "mesh-helicoid", "mesh-cmc",
             "section", "limit-study", "verify")
@@ -128,20 +127,11 @@ def _period_record(alpha, tol):
     }
 
 
-def _sweep_map(fn, alphas):
-    workers = min(thread_count(), len(alphas))
-    if workers <= 1:
-        return [fn(a) for a in alphas]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, alphas))
-
-
 def run(config: JobConfig) -> int:
     """Execute a validated job; returns the process exit status."""
     cmd = config.command
     if cmd == "solve-period":
-        recs = _sweep_map(lambda a: _period_record(a, config.tol),
-                          config.alphas)
+        recs = [_period_record(a, config.tol) for a in config.alphas]
         if len(recs) == 1 and config.fmt != "csv":
             _emit(json.dumps(recs[0], indent=2, sort_keys=True) + "\n",
                   config.out)
@@ -186,12 +176,11 @@ def run(config: JobConfig) -> int:
             return [alpha, waist_extent(model), dev]
 
         _emit(csv_text(["alpha", "waist_extent", "max_limit_deviation"],
-                       _sweep_map(study, config.alphas)), config.out)
+                       [study(a) for a in config.alphas]), config.out)
         return 0
 
     # verify
-    reports = _sweep_map(lambda a: run_verification(a, tol=config.tol),
-                         config.alphas)
+    reports = [run_verification(a, tol=config.tol) for a in config.alphas]
     payload = {}
     ok = True
     for alpha, rep in zip(config.alphas, reports):
@@ -223,6 +212,10 @@ def build_parser():
                    choices=("obj", "ply", "csv", "json"))
     p.add_argument("--out", type=str, default=None)
     return p
+
+
+# parse_args leaves the parser unchanged, so one instance serves every call
+_PARSER = build_parser()
 
 
 def config_from_args(args) -> JobConfig:
@@ -259,7 +252,7 @@ def _glue_dash_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_glue_dash_values(argv))
+    args = _PARSER.parse_args(_glue_dash_values(argv))
     try:
         config = config_from_args(args)
     except UsageError as exc:

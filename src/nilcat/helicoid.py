@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import ARG_MAX, DomainError, RangeError, ResolutionError
 from .meshes import Mesh, grid_mesh_faces
@@ -58,29 +59,24 @@ class HelicoidModel:
     def u_of_y2(self, c: float) -> float:
         """Invert y2 = -G(u); G is strictly decreasing so this is global."""
         target = -float(c)
+
+        def gap(u):
+            return float(self.profile.eval(u).G) - target
+
         lo, hi = 0.0, 0.0
         step = self.U
-        while float(self.profile.eval(lo).G) < target:
+        while gap(lo) < 0:
             lo -= step
-        while float(self.profile.eval(hi).G) > target:
+        while gap(hi) > 0:
             hi += step
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if float(self.profile.eval(mid).G) > target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return brentq(gap, lo, hi, xtol=1e-15)
 
 
 @lru_cache(maxsize=32)
-def build_helicoid(alpha: float, nodes: int | None = None) -> HelicoidModel:
+def build_helicoid(alpha: float) -> HelicoidModel:
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    kwargs = {} if nodes is None else {"nodes": nodes}
-    return HelicoidModel(solve_profile(AnnulusParams(alpha, 0.0), **kwargs))
+    return HelicoidModel(solve_profile(AnnulusParams(alpha, 0.0)))
 
 
 def helicoid_point(alpha: float, u: float, v: float) -> Nil3Point:

@@ -131,7 +131,21 @@ def _step(u, v, h):
     return 1e-4 * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))
 
 
+# offsets of the 5-point stencils, in units of the step
+STENCIL5 = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 _C4 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0  # offsets -2, -1, 1, 2
+
+
+def stencil5(s, h):
+    """First and second derivatives from samples s[k] = f(x + STENCIL5[k] h).
+
+    The 4th-order central 5-point stencils; d1 is exact through degree 4
+    and d2 through degree 5.  s is an array whose leading axis holds the
+    five samples, or any sequence of five arrays.
+    """
+    d1 = (s[0] - 8 * s[1] + 8 * s[3] - s[4]) / (12 * h)
+    d2 = (-s[0] + 16 * s[1] - 30 * s[2] + 16 * s[3] - s[4]) / (12 * h * h)
+    return d1, d2
 
 
 def surface_jet2(sampler, u, v, h=None):
@@ -154,14 +168,8 @@ def surface_jet2(sampler, u, v, h=None):
     vv = v[..., None] + h[..., None] * off[:, 1]
     X = np.asarray(sampler(uu, vv), dtype=float)
     h1 = h[..., None]
-    Xu = (X[..., 1, :] - 8 * X[..., 2, :] + 8 * X[..., 3, :] - X[..., 4, :]) \
-        / (12 * h1)
-    Xv = (X[..., 5, :] - 8 * X[..., 6, :] + 8 * X[..., 7, :] - X[..., 8, :]) \
-        / (12 * h1)
-    Xuu = (-X[..., 1, :] + 16 * X[..., 2, :] - 30 * X[..., 0, :]
-           + 16 * X[..., 3, :] - X[..., 4, :]) / (12 * h1 * h1)
-    Xvv = (-X[..., 5, :] + 16 * X[..., 6, :] - 30 * X[..., 0, :]
-           + 16 * X[..., 7, :] - X[..., 8, :]) / (12 * h1 * h1)
+    Xu, Xuu = stencil5([X[..., k, :] for k in (1, 2, 0, 3, 4)], h1)
+    Xv, Xvv = stencil5([X[..., k, :] for k in (5, 6, 0, 7, 8)], h1)
     cross = X[..., 9:, :].reshape(X.shape[:-2] + (4, 4, 3))
     Xuv = np.einsum("i,j,...ijk->...k", _C4, _C4, cross) / (h1 * h1)
     return X[..., 0, :], Xu, Xv, Xuu, Xuv, Xvv
@@ -289,12 +297,8 @@ def gauss_map_and_residuals(sampler, u, v, h=None, gauss=None, hg=None):
                     (-2, 0), (-1, 0), (1, 0), (2, 0),
                     (0, -2), (0, -1), (0, 1), (0, 2)], dtype=float)
     gg = field(u[..., None] + hg * off[:, 0], v[..., None] + hg * off[:, 1])
-    gu = (gg[..., 1] - 8 * gg[..., 2] + 8 * gg[..., 3] - gg[..., 4]) / (12 * hg)
-    gv = (gg[..., 5] - 8 * gg[..., 6] + 8 * gg[..., 7] - gg[..., 8]) / (12 * hg)
-    guu = (-gg[..., 1] + 16 * gg[..., 2] - 30 * gg[..., 0]
-           + 16 * gg[..., 3] - gg[..., 4]) / (12 * hg * hg)
-    gvv = (-gg[..., 5] + 16 * gg[..., 6] - 30 * gg[..., 0]
-           + 16 * gg[..., 7] - gg[..., 8]) / (12 * hg * hg)
+    gu, guu = stencil5([gg[..., k] for k in (1, 2, 0, 3, 4)], hg)
+    gv, gvv = stencil5([gg[..., k] for k in (5, 6, 0, 7, 8)], hg)
     g0 = gg[..., 0]
     gz = 0.5 * (gu - 1j * gv)
     gzb = 0.5 * (gu + 1j * gv)
@@ -323,19 +327,8 @@ def graph_jet(f, x1, x2, h=3e-4) -> GraphJet:
     """Finite-difference jet of a graph function (5-point stencils)."""
     x1 = float(x1)
     x2 = float(x2)
-
-    def fd1(g, x, step):
-        return (g(x - 2 * step) - 8 * g(x - step) + 8 * g(x + step)
-                - g(x + 2 * step)) / (12 * step)
-
-    def fd2(g, x, step):
-        return (-g(x - 2 * step) + 16 * g(x - step) - 30 * g(x)
-                + 16 * g(x + step) - g(x + 2 * step)) / (12 * step * step)
-
-    fx1 = fd1(lambda s: f(s, x2), x1, h)
-    fx2 = fd1(lambda s: f(x1, s), x2, h)
-    r = fd2(lambda s: f(s, x2), x1, h)
-    t = fd2(lambda s: f(x1, s), x2, h)
+    fx1, r = stencil5(f(x1 + h * STENCIL5, x2), h)
+    fx2, t = stencil5(f(x1, x2 + h * STENCIL5), h)
     s_ = (f(x1 + h, x2 + h) - f(x1 + h, x2 - h)
           - f(x1 - h, x2 + h) + f(x1 - h, x2 - h)) / (4 * h * h)
     return GraphJet(p=fx1 + 0.5 * x2, q=fx2 - 0.5 * x1, r=r, s=s_, t=t)

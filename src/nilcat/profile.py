@@ -27,9 +27,13 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ResolutionError
+from .nil3 import STENCIL5, stencil5
 
-DEFAULT_NODES = 4096
-DEFAULT_TOL = 1e-12
+# The node count starts at START_NODES phi-cells and doubles while the
+# self-check's dense-output error exceeds TOL, up to the period rule's cap.
+START_NODES = 4096
+MAX_NODES = 1 << 16
+TOL = 1e-12
 
 # 5-point Gauss-Legendre rule on [-1, 1]; composite per phi-cell this is
 # accurate far beyond float64 for the smooth integrands below.
@@ -132,24 +136,33 @@ class Profile:
     quasi-period laws; phi' and G' are recovered from closed forms in phi,
     never from spline derivatives.
 
+    The grid starts at START_NODES cells and doubles while the measured
+    dense-output error (interp_error) exceeds TOL; reaching MAX_NODES
+    first raises ResolutionError.  Small alpha needs the finer grids.
+
+    params is an AnnulusParams or any pack of the fields the quartic reads
+    (alpha, cos2theta, C) plus its admissibility flag in_omega; the CMC
+    conjugate passes (alpha*, -1, 0).
+
     Immutable after construction; safe to share across threads.
     """
 
-    def __init__(self, params: AnnulusParams, nodes: int = DEFAULT_NODES,
-                 tol: float = DEFAULT_TOL):
+    def __init__(self, params: AnnulusParams):
         if not params.in_omega:
             raise DomainError(
-                f"(alpha={params.alpha}, theta={params.theta}) is outside the "
-                f"admissible set: |theta| >= theta_plus = {params.theta_plus}")
-        if tol <= 0:
-            raise DomainError(f"tol must be positive, got {tol}")
-        if nodes < 16:
-            raise ResolutionError(f"need at least 16 nodes, got {nodes}")
+                f"{params} is outside the admissible set: P(cos phi) > 0 "
+                f"fails on [-1, 1]")
         self.params = params
-        self.nodes_n = int(nodes)
-        self.tol = float(tol)
+        self.nodes_n = START_NODES
         self._build()
-        self._self_check()
+        while self._interp_error() > TOL:
+            if self.nodes_n >= MAX_NODES:
+                raise ResolutionError(
+                    f"dense output error {self.interp_error:.3e} exceeds tol "
+                    f"{TOL:.1e} at the cap of {MAX_NODES} nodes")
+            self.nodes_n *= 2
+            self._build()
+        self._check_midpoint()
 
     # -- construction -----------------------------------------------------
 
@@ -200,28 +213,28 @@ class Profile:
         self._sp = CubicSpline(u, np.stack([phi, beta, G], axis=1),
                                bc_type=((1, slopes), (1, slopes)))
 
-    def _self_check(self):
+    def _interp_error(self) -> float:
         """Measure true interpolation error at cell midpoints.
 
         Integrates one extra half-cell from each node and compares against
-        the splines; this is the worst-case interpolation point, so it
-        bounds the dense-output error.  A tolerance finer than the grid can
-        deliver raises instead of passing silently.
+        the spline; this is the worst-case interpolation point, so it
+        bounds the dense-output error.  The result is kept as interp_error.
         """
         phi = self.phi_nodes
         mid = 0.5 * (phi[:-1] + phi[1:])
         du, dbeta, dG = self._cell_increments(mid, phi[:-1])
         exact = np.stack([mid, self.beta_nodes[:-1] + dbeta,
                           self.G_nodes[:-1] + dG], axis=1)
-        err = np.max(np.abs(self._sp(self.u_nodes[:-1] + du) - exact))
-        self.interp_error = float(err)
-        if err > self.tol:
-            raise ResolutionError(
-                f"dense output error {err:.3e} exceeds tol {self.tol:.1e}; "
-                f"increase nodes ({self.nodes_n}) or loosen tol")
+        self.interp_error = float(
+            np.max(np.abs(self._sp(self.u_nodes[:-1] + du) - exact)))
+        return self.interp_error
+
+    def _check_midpoint(self):
+        """The half-period laws phi(U/2) = -pi/2, beta(U/2) = beta(U)/2 and
+        G(U/2) = G(U)/2 must hold on the converged grid."""
         mids = np.abs(self._sp(0.5 * self.U)
                       - [-0.5 * math.pi, 0.5 * self.betaU, 0.5 * self.GU])
-        if mids.max() > 100 * max(self.tol, 1e-14):
+        if mids.max() > 100 * TOL:
             raise ResolutionError(
                 f"midpoint identities violated at {mids.max():.3e}; grid or "
                 f"quadrature is inconsistent")
@@ -274,15 +287,9 @@ class Profile:
                 w.writerow([repr(float(x)) for x in row])
 
 
-def solve_profile(params: AnnulusParams, tol: float = DEFAULT_TOL,
-                  nodes: int = DEFAULT_NODES) -> Profile:
+def solve_profile(params: AnnulusParams) -> Profile:
     """Solve the profile system on the fundamental interval u in [0, U]."""
-    return Profile(params, nodes=nodes, tol=tol)
-
-
-def _fd5(f, u: np.ndarray, h: float) -> np.ndarray:
-    """5-point first-derivative stencil, exact through degree 4."""
-    return (f(u - 2 * h) - 8 * f(u - h) + 8 * f(u + h) - f(u + 2 * h)) / (12 * h)
+    return Profile(params)
 
 
 def identity_residuals(profile: Profile, grid, h: float = 1e-5) -> dict:
@@ -298,8 +305,9 @@ def identity_residuals(profile: Profile, grid, h: float = 1e-5) -> dict:
     sin, cos = np.sin(v.phi), np.cos(v.phi)
     cos2 = cos * cos
     c2t, C = p.cos2theta, p.C
-    phi2 = _fd5(lambda x: profile.eval(x).phiprime, u, h)
-    G2 = _fd5(lambda x: profile.eval(x).Gprime, u, h)
+    v5 = profile.eval(np.add.outer(h * STENCIL5, u))
+    phi2, _ = stencil5(v5.phiprime, h)
+    G2, _ = stencil5(v5.Gprime, h)
 
     res = {
         "phi_prime_alpha": v.phiprime + p.alpha - v.Gprime * cos2,

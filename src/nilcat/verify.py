@@ -16,7 +16,6 @@ coincide.
 from __future__ import annotations
 
 import math
-import os
 import sys
 
 import numpy as np
@@ -34,6 +33,7 @@ from .catenoid import (
 from .helicoid import build_helicoid, ruling_residual
 from .meshes import euler_characteristic
 from .nil3 import (
+    STENCIL5,
     ResidualReport,
     first_fundamental_form,
     gauss_map_and_residuals,
@@ -41,18 +41,11 @@ from .nil3 import (
     mean_curvature_nil3,
     nil3_christoffels,
     nil3_metric,
+    stencil5,
     to_y,
 )
 from .period import L_integral, appendix_I_decomposition
-from .profile import AnnulusParams, identity_residuals
-
-
-def thread_count() -> int:
-    """Worker cap for sweeps, from NILCAT_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("NILCAT_THREADS", "1")))
-    except ValueError:
-        return 1
+from .profile import AnnulusParams, identity_residuals, quartic_P
 
 
 def _bool_check(report, name, ok):
@@ -97,9 +90,7 @@ def _profile_checks(report, model):
                          np.max(np.abs(m.beta + a.beta)),
                          np.max(np.abs(m.G + a.G)))), threshold=1e-9)
     h = 1e-3 * min(1.0, 3.0 / model.alpha)
-    fd = (prof.eval(u - 2 * h).phi - 8 * prof.eval(u - h).phi
-          + 8 * prof.eval(u + h).phi - prof.eval(u + 2 * h).phi) / (12 * h)
-    from .profile import quartic_P
+    fd, _ = stencil5(prof.eval(np.add.outer(h * STENCIL5, u)).phi, h)
     # phi'^2 and P both grow like alpha^2; compare relative to that scale
     report.add("profile.ode_residual",
                float(np.max(np.abs(fd ** 2
@@ -216,17 +207,9 @@ def _catenoid_checks(report, model):
     k_here = float(gauss_curvature_K(model, u0, v0))
     lam0 = float(model.lambda_conf(u0, v0))
     h = 1e-4 * min(1.0, 3.0 / alpha)
-
-    def lnlam_u(x):
-        return np.log(model.lambda_conf(x, v0))
-
-    def lnlam_v(x):
-        return np.log(model.lambda_conf(u0, x))
-
-    lap = ((-lnlam_u(u0 - 2 * h) + 16 * lnlam_u(u0 - h) - 30 * lnlam_u(u0)
-            + 16 * lnlam_u(u0 + h) - lnlam_u(u0 + 2 * h)) / (12 * h * h)
-           + (-lnlam_v(v0 - 2 * h) + 16 * lnlam_v(v0 - h) - 30 * lnlam_v(v0)
-              + 16 * lnlam_v(v0 + h) - lnlam_v(v0 + 2 * h)) / (12 * h * h))
+    _, lnlam_uu = stencil5(np.log(model.lambda_conf(u0 + h * STENCIL5, v0)), h)
+    _, lnlam_vv = stencil5(np.log(model.lambda_conf(u0, v0 + h * STENCIL5)), h)
+    lap = lnlam_uu + lnlam_vv
     report.add("catenoid.gauss_curvature_vs_laplacian",
                abs(k_here - float(-lap / (2 * lam0)))
                / max(1.0, abs(k_here)), threshold=1e-5)
@@ -272,7 +255,7 @@ def _cmc_checks(report, alpha):
                threshold=1e-9)
     u = np.linspace(-2 * m.U, 2 * m.U, 1000)
     pv = m.profile.eval(u)
-    phis, _ = m.conjugate.eval(u)
+    phis = m.conjugate.eval(u).phi
     report.add("cmc.cosh_omega_identity",
                float(np.max(np.abs(np.abs(pv.phiprime) * np.cos(phis)
                                    - m.alpha_star * np.cos(pv.phi)))),
@@ -307,10 +290,8 @@ def _cmc_checks(report, alpha):
     def at(du, dv):
         return m.hstar(uu + du * h, vv + dv * h)
 
-    huu = (-at(-2, 0) + 16 * at(-1, 0) - 30 * at(0, 0) + 16 * at(1, 0)
-           - at(2, 0)) / (12 * h * h)
-    hvv = (-at(0, -2) + 16 * at(0, -1) - 30 * at(0, 0) + 16 * at(0, 1)
-           - at(0, 2)) / (12 * h * h)
+    _, huu = stencil5(at(STENCIL5[:, None], 0.0), h)
+    _, hvv = stencil5(at(0.0, STENCIL5[:, None]), h)
     huv = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h * h)
     pvg = m.profile.eval(uu)
     cos, sin = np.cos(pvg.phi), np.sin(pvg.phi)

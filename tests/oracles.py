@@ -7,6 +7,11 @@ ODE in phi with Gauss cells and evaluates the period integral with a
 periodic trapezoidal rule; none of that machinery is used here, so
 agreement is a genuine cross-check.
 
+The conjugate profile of the CMC annulus has a reference solver: the
+dedicated phi*'^2 = alpha*^2 - cos^2 phi* integrator the library used
+before it solved the conjugate with its one profile solver.  The library
+must reproduce it bit for bit.
+
 The mesh data plane has per-element oracles: OBJ and PLY writers and
 readers that handle one line or one face at a time, edge lists from
 `np.unique(axis=0)` over sorted index pairs, and the face list of the
@@ -14,10 +19,15 @@ reflected CMC mesh built cell by cell.  The library does each of these as
 whole-array operations.
 """
 
+import math
 import struct
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
+
+from nilcat.errors import DomainError
+from nilcat.profile import _GL_W, _GL_X
 
 
 def P_of(alpha, theta, x):
@@ -157,6 +167,44 @@ def fd2_5pt(f, x, h):
     """5-point second derivative."""
     return (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x)
             + 16 * f(x + h) - f(x + 2 * h)) / (12 * h * h)
+
+
+# -- conjugate profile -----------------------------------------------------
+
+class ConjugateProfile:
+    """Dense solution of phi*'^2 = alpha*^2 - cos^2 phi*, phi*(0) = 0,
+    decreasing branch, on a fixed 4096-cell phi grid."""
+
+    def __init__(self, alpha_star: float, nodes: int = 4096):
+        if alpha_star <= 1.0:
+            raise DomainError("conjugate profile needs alpha_star > 1")
+        self.alpha_star = alpha_star
+        phi = -np.pi * np.arange(nodes + 1) / nodes
+        lo, hi = phi[1:], phi[:-1]
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        psi = mid[:, None] + half[:, None] * _GL_X[None, :]
+        speed = np.sqrt(alpha_star ** 2 - np.cos(psi) ** 2)
+        du = ((half[:, None] * _GL_W[None, :]) / speed).sum(axis=1)
+        u = np.concatenate([[0.0], np.cumsum(du)])
+        self.u_nodes = u
+        self.phi_nodes = phi
+        self.U = float(u[-1])
+        d_end = -math.sqrt(alpha_star ** 2 - 1.0)
+        self._sp = CubicSpline(u, phi, bc_type=((1, d_end), (1, d_end)))
+
+    def eval(self, u):
+        """(phi*, phi*') at arbitrary u through the quasi-period law."""
+        u_in = np.asarray(u, dtype=float)
+        u = u_in.ravel()
+        k = np.floor(u / self.U)
+        u0 = u - k * self.U
+        over = u0 >= self.U
+        u0[over] -= self.U
+        k[over] += 1.0
+        phi = self._sp(u0) - k * np.pi
+        phiprime = -np.sqrt(self.alpha_star ** 2 - np.cos(phi) ** 2)
+        return phi.reshape(u_in.shape), phiprime.reshape(u_in.shape)
 
 
 # -- mesh data plane -------------------------------------------------------

@@ -215,7 +215,7 @@ def test_criterion_09_cmc_annulus(cmc_pair):
                                abs(m.U - m.conjugate.U))
         u = np.linspace(-2 * m.U, 2 * m.U, 1000)
         pv = m.profile.eval(u)
-        phis, _ = m.conjugate.eval(u)
+        phis = m.conjugate.eval(u).phi
         named["cosh_omega"] = max(named.get("cosh_omega", 0), float(np.max(
             np.abs(np.abs(pv.phiprime) * np.cos(phis)
                    - m.alpha_star * np.cos(pv.phi)))))

@@ -153,13 +153,30 @@ class TestCommands:
             calls.append(alpha)
             return find_theta_tilde(alpha, tol=tol)
 
-        # a threaded sweep would append in completion order
-        monkeypatch.setenv("NILCAT_THREADS", "1")
         monkeypatch.setattr(cli_mod, "find_theta_tilde", counting)
         assert run_cli("solve-period", "--alpha-sweep", "0.5:2:3",
                        "--format", "csv", "--out",
                        str(tmp_path / "s.csv")) == 0
         assert calls == [0.5, 1.25, 2.0]
+
+    @pytest.mark.parametrize("argv", [
+        ["mesh-catenoid", "--out", "m.obj"],
+        ["section", "--out", "s.csv"],
+        ["mesh-cmc", "--format", "ply", "--out", "m.ply"],
+        ["mesh-helicoid", "--out", "m.obj"],
+    ])
+    def test_small_alpha_builds(self, tmp_path, argv):
+        # alpha 0.05 needs 32768 profile cells; 4096 fixed cells raised
+        argv = argv[:-1] + [str(tmp_path / argv[-1])]
+        assert run_cli(*argv, "--alpha", "0.05") == 0
+        assert (tmp_path / argv[-1]).stat().st_size > 0
+
+    def test_parser_built_once(self, monkeypatch):
+        def rebuilt():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli_mod, "build_parser", rebuilt)
+        assert run_cli("solve-period", "--alpha", "1.5") == 0
 
     def test_verify_exit_codes(self, tmp_path, monkeypatch):
         out = tmp_path / "rep.json"
@@ -186,13 +203,4 @@ class TestDeterminism:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli("section", "--alpha", "2", "--samples", "128", "--out", str(a))
         run_cli("section", "--alpha", "2", "--samples", "128", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli("solve-period", "--alpha-sweep", "1:2:3", "--format", "csv",
-                "--out", str(a))
-        monkeypatch.setenv("NILCAT_THREADS", "3")
-        run_cli("solve-period", "--alpha-sweep", "1:2:3", "--format", "csv",
-                "--out", str(b))
         assert a.read_bytes() == b.read_bytes()

@@ -7,9 +7,9 @@ import oracles
 from nilcat import DomainError, RangeError
 from nilcat.cmc import (
     CmcFieldSample,
-    ConjugateProfile,
     annulus_point,
     build_cmc_annulus,
+    conjugate_profile,
     halfplane_curve,
     halfplane_x1,
     halfplane_x2,
@@ -49,7 +49,7 @@ class TestBuild:
     def test_cosh_omega_at_origin(self, cmc1):
         # both expressions equal sqrt(alpha^2 + 1) at u = 0
         pv = cmc1.profile.eval(0.0)
-        phis, _ = cmc1.conjugate.eval(0.0)
+        phis = cmc1.conjugate.eval(0.0).phi
         assert float(-pv.phiprime) == pytest.approx(math.sqrt(2), rel=1e-14)
         assert cmc1.alpha_star / float(np.cos(phis)) == pytest.approx(
             math.sqrt(2), rel=1e-14)
@@ -57,7 +57,7 @@ class TestBuild:
     def test_cosh_omega_identity_on_grid(self, cmc1):
         u = np.linspace(-2 * cmc1.U, 2 * cmc1.U, 1000)
         pv = cmc1.profile.eval(u)
-        phis, _ = cmc1.conjugate.eval(u)
+        phis = cmc1.conjugate.eval(u).phi
         r = np.abs(np.abs(pv.phiprime) * np.cos(phis)
                    - cmc1.alpha_star * np.cos(pv.phi))
         assert np.max(r) <= 1e-8
@@ -65,20 +65,43 @@ class TestBuild:
     def test_conjugate_profile_ode(self, cmc1):
         conj = cmc1.conjugate
         u = np.linspace(-3, 3, 500)
-        phis, psp = conj.eval(u)
-        assert float(conj.eval(0.0)[0]) == 0.0
-        assert np.all(psp < 0)
-        assert np.max(np.abs(psp ** 2 - conj.alpha_star ** 2
-                             + np.cos(phis) ** 2)) <= 1e-12
+        cv = conj.eval(u)
+        assert float(conj.eval(0.0).phi) == 0.0
+        assert np.all(cv.phiprime < 0)
+        assert np.max(np.abs(cv.phiprime ** 2 - conj.params.alpha ** 2
+                             + np.cos(cv.phi) ** 2)) <= 1e-12
         # quasi-period law
         a, b = conj.eval(u), conj.eval(u + conj.U)
-        assert np.max(np.abs(b[0] - a[0] + math.pi)) <= 1e-12
+        assert np.max(np.abs(b.phi - a.phi + math.pi)) <= 1e-12
 
     def test_bad_alpha(self):
         with pytest.raises(DomainError):
             build_cmc_annulus(-2.0)
         with pytest.raises(DomainError):
-            ConjugateProfile(0.9)
+            conjugate_profile(0.9)
+        with pytest.raises(DomainError):
+            conjugate_profile(1.0)
+
+
+class TestConjugateProfile:
+    """The conjugate comes from the one profile solver on the quartic
+    alpha*^2 - x^2; it must reproduce the dedicated conjugate integrator
+    (oracles.ConjugateProfile) bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.7, 1.0, 3.0, 37.0, 100.0])
+    def test_matches_dedicated_solver_bit_for_bit(self, alpha):
+        a_s = math.sqrt(alpha ** 2 + 1.0)
+        got, ref = conjugate_profile(a_s), oracles.ConjugateProfile(a_s)
+        assert got.U == ref.U
+        assert np.array_equal(got.u_nodes, ref.u_nodes)
+        rng = np.random.default_rng(int(alpha * 10))
+        u = np.concatenate([rng.uniform(-5 * ref.U, 5 * ref.U, 20000),
+                            ref.u_nodes])
+        cv = got.eval(u)
+        phi, phiprime = ref.eval(u)
+        assert np.array_equal(cv.phi, phi)
+        assert np.array_equal(cv.phiprime, phiprime)
+        assert got.interp_error <= 1e-12
 
 
 class TestHeightField:
@@ -98,9 +121,9 @@ class TestHeightField:
         rng = np.random.default_rng(2)
         u = rng.uniform(-2, 2, 200)
         v = rng.uniform(-1.5, 1.5, 200)
-        phis, psp = cmc1.conjugate.eval(u)
-        alt = np.cos(phis) * np.cosh(cmc1.alpha * v) \
-            / (cmc1.alpha * (psp - cmc1.alpha_star))
+        cv = cmc1.conjugate.eval(u)
+        alt = np.cos(cv.phi) * np.cosh(cmc1.alpha * v) \
+            / (cmc1.alpha * (cv.phiprime - cmc1.alpha_star))
         assert np.max(np.abs(cmc1.hstar(u, v) - alt)) <= 1e-8
 
     def test_metric_identity(self, cmc1, cmc2):

@@ -54,6 +54,16 @@ class TestRulings:
     def test_line_fit_residual(self, c):
         assert ruling_residual(1.5, c, samples=64) <= 1e-9
 
+    @pytest.mark.parametrize("alpha", [0.2, 1.0, 1.5, 37.0])
+    def test_u_of_y2_inverts_G(self, alpha):
+        # the c values the verify suite probes
+        model = build_helicoid(alpha)
+        for k in (-2.0, -0.5, 0.0, 0.5, 2.0):
+            c = k * abs(model.profile.GU)
+            u_c = model.u_of_y2(c)
+            assert abs(float(model.profile.eval(u_c).G) + c) <= 1e-10
+        assert model.u_of_y2(0.0) == 0.0
+
     def test_y2_independent_of_v_exactly(self, heli):
         v = np.linspace(-2, 2, 17)
         y = heli.y_coords(np.full_like(v, 0.8), v)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from nilcat import DegeneracyError, TransversalityError
 from nilcat.nil3 import (
+    STENCIL5,
     GaussValue,
     Nil3Point,
     ResidualReport,
@@ -14,6 +16,7 @@ from nilcat.nil3 import (
     metric_and_connection,
     nil3_christoffels,
     nil3_metric,
+    stencil5,
     to_y,
 )
 
@@ -185,3 +188,31 @@ class TestOnCatenoid:
         assert np.max(np.abs(E - lam) / lam) <= 1e-5
         assert np.max(np.abs(G - lam) / lam) <= 1e-5
         assert np.max(np.abs(F) / lam) <= 1e-5
+
+
+class TestStencil5:
+    def test_matches_oracle_stencils_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        x = rng.uniform(-3, 3, 500)
+        for f in (np.sin, np.exp, lambda t: np.cosh(t) / (2 + np.sin(3 * t))):
+            for h in (1e-5, 1e-3, 0.37):
+                d1, d2 = stencil5(f(np.add.outer(h * STENCIL5, x)), h)
+                assert np.array_equal(d1, oracles.fd1_5pt(f, x, h))
+                assert np.array_equal(d2, oracles.fd2_5pt(f, x, h))
+
+    def test_sequence_of_samples(self):
+        x, h = 0.3, 1e-3
+        s = np.sin(x + h * STENCIL5)
+        assert stencil5(list(s), h) == stencil5(s, h)
+
+    def test_exact_on_polynomials(self):
+        # dyadic x, h and integer coefficients keep every sample exact, so
+        # the stencils' exactness shows as equality
+        p4 = np.polynomial.Polynomial([3, -1, 2, 5, -4])
+        p5 = np.polynomial.Polynomial([1, 2, -3, 4, -2, 3])
+        for x in (0.0, 0.75, -1.5):
+            for h in (0.5, 0.25, 0.125):
+                d1, _ = stencil5(p4(x + h * STENCIL5), h)
+                assert d1 == p4.deriv()(x)
+                _, d2 = stencil5(p5(x + h * STENCIL5), h)
+                assert d2 == p5.deriv(2)(x)

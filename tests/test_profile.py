@@ -126,9 +126,18 @@ class TestSolveProfile:
         with pytest.raises(DomainError):
             solve_profile(bad)
 
-    def test_tol_too_small_for_grid_raises(self):
+    def test_node_cap_raises(self):
+        # at alpha = 0.005 even MAX_NODES cells miss the 1e-12 dense error
         with pytest.raises(ResolutionError):
-            solve_profile(AnnulusParams(1.0, 0.3), tol=1e-15, nodes=32)
+            solve_profile(AnnulusParams(0.005, 0.0))
+
+    @pytest.mark.parametrize("alpha,nodes", [(1.0, 4096), (0.1, 8192),
+                                             (0.05, 32768), (0.02, 65536)])
+    def test_node_count_doubles_until_resolved(self, alpha, nodes):
+        prof = solve_profile(AnnulusParams(alpha, 0.0))
+        assert prof.nodes_n == nodes
+        assert prof.interp_error <= 1e-12
+        assert len(prof.u_nodes) == nodes + 1
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,45 @@
+"""Source guard: one 5-point stencil, one root finder, one sweep path.
+
+Each derivative stencil lives in `nil3.stencil5`, roots are refined by
+`scipy.optimize.brentq`, and alpha sweeps run as plain loops.  These scans
+fail if a copy of the stencil denominator, a hand-rolled bisection loop or
+a thread pool comes back into `src/nilcat`.
+"""
+
+import ast
+import pathlib
+
+import nilcat
+
+SRC = pathlib.Path(nilcat.__file__).parent
+
+
+def _sources():
+    return {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+
+
+def test_sources_found():
+    assert {"nil3.py", "profile.py", "cmc.py", "verify.py"} <= set(_sources())
+
+
+def test_one_5point_stencil():
+    hits = []
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        helper = None
+        if name == "nil3.py":
+            helper = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                          and n.name == "stencil5")
+        for no, line in enumerate(text.splitlines(), 1):
+            inside = helper is not None and \
+                helper.lineno <= no <= helper.end_lineno
+            if "(12 *" in line and not inside:
+                hits.append(f"{name}:{no}: {line.strip()}")
+    assert hits == []
+
+
+def test_no_thread_pool_or_bisection_loop():
+    for name, text in _sources().items():
+        assert "ThreadPoolExecutor" not in text, name
+        assert "range(200)" not in text, name
+        assert "NILCAT_THREADS" not in text, name

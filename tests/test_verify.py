@@ -21,6 +21,12 @@ def test_all_pass_at_alpha_1_3():
     assert rep.entries["cmc.alpha_star_defining_relation"]["pass"]
 
 
+def test_all_pass_at_alpha_0_05():
+    # needs 32768 profile cells; a fixed 4096-cell grid raised here
+    rep = run_verification(0.05)
+    assert rep.all_pass(), rep.failures()
+
+
 def test_one_theta_solve(monkeypatch):
     calls = []
 
