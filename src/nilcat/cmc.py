@@ -25,12 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ARG_MAX, DomainError, RangeError, ResolutionError
 from .meshes import Mesh
 from .nil3 import STENCIL5, mean_curvature, stencil5
 from .profile import AnnulusParams, Profile, solve_profile
+from .roots import brentq, golden_min
 
 
 @dataclass(frozen=True)
@@ -398,14 +398,12 @@ def halfplane_curve(model: CmcAnnulusModel, sign: int = -1,
         # a double zero leaves no sign change; look for a near-zero dip
         j = int(np.argmin(np.abs(d)))
         if 0 < j < n - 1:
-            from scipy.optimize import minimize_scalar
-            r = minimize_scalar(
+            x, fx = golden_min(
                 lambda t: abs(float(_halfplane_x1_prime(model, sign, t))),
-                bracket=(v[j - 1], v[j], v[j + 1]), method="golden",
-                options={"xtol": 1e-13})
+                v[j - 1], v[j], v[j + 1], xtol=1e-13)
             scale = np.max(np.abs(d))
-            if abs(r.fun) <= 1e-9 * scale:
-                crit.append(float(r.x))
+            if fx <= 1e-9 * scale:
+                crit.append(float(x))
                 tangential = True
 
     return HalfplaneCurve(sign=sign, v=v, x1=x1, x2=x2,

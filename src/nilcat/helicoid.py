@@ -18,12 +18,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ARG_MAX, DomainError, RangeError, ResolutionError
 from .meshes import Mesh, grid_mesh_faces
 from .nil3 import Nil3Point, from_y
 from .profile import AnnulusParams, Profile, solve_profile
+from .roots import brentq
 
 
 class HelicoidModel:

@@ -25,10 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketError, DomainError, QuadratureError
 from .profile import AnnulusParams, theta_plus
+from .roots import brentq
 
 DEFAULT_QUAD_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-11

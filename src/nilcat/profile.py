@@ -24,14 +24,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ResolutionError
 from .nil3 import STENCIL5, stencil5
 
 # The node count starts at START_NODES phi-cells and doubles while the
 # self-check's dense-output error exceeds TOL, up to the period rule's cap.
-START_NODES = 4096
+START_NODES = 128
 MAX_NODES = 1 << 16
 TOL = 1e-12
 
@@ -129,12 +128,13 @@ class Profile:
     """Dense solution of the profile system over one fundamental interval.
 
     Stores node records (u, phi, phi', beta, G, G') on a phi-uniform grid
-    over phi in [-pi, 0] (u in [0, U]), one cubic spline in u whose three
-    columns are phi, beta and G (one interval search per evaluation), and
-    the quasi-period data (U, beta(U), G(U), V, Z).  Evaluation at
-    arbitrary u reduces to the fundamental interval with the exact algebraic
-    quasi-period laws; phi' and G' are recovered from closed forms in phi,
-    never from spline derivatives.
+    over phi in [-pi, 0] (u in [0, U]), one piecewise quintic Hermite
+    interpolant in u whose three columns are phi, beta and G (built from
+    the exact node values, slopes and curvatures; one interval search per
+    evaluation), and the quasi-period data (U, beta(U), G(U), V, Z).
+    Evaluation at arbitrary u reduces to the fundamental interval with the
+    exact algebraic quasi-period laws; phi' and G' are recovered from closed
+    forms in phi, never from interpolant derivatives.
 
     The grid starts at START_NODES cells and doubles while the measured
     dense-output error (interp_error) exceeds TOL; reaching MAX_NODES
@@ -204,35 +204,42 @@ class Profile:
         self.V = -self.betaU / self.params.alpha
         self.Z = complex(2.0 * self.U, 2.0 * self.V)
 
-        # One clamped spline for the columns (phi, beta, G): the exact
-        # endpoint derivatives are known, and each is the same at both ends.
+        # Exact node slopes and curvatures of (phi, beta, G) for the quintic
+        # Hermite interpolant; the curvatures are the identities that
+        # identity_residuals checks by finite differences.
         p = self.params
-        sqP1 = math.sqrt(quartic_P(p, 1.0))
-        slopes = np.array([-sqP1, p.C,
-                           (p.C ** 2 - p.cos2theta) / (p.alpha + sqP1)])
-        self._sp = CubicSpline(u, np.stack([phi, beta, G], axis=1),
-                               bc_type=((1, slopes), (1, slopes)))
+        c = np.cos(phi)
+        c2 = c * c
+        sc = np.sin(phi) * c
+        sqP = np.sqrt(p.alpha ** 2 + p.cos2theta * c2 - p.C ** 2 * c2 * c2)
+        Gp = (p.C ** 2 * c2 - p.cos2theta) / (p.alpha + sqP)
+        y = np.stack([phi, beta, G])
+        d1 = np.stack([-sqP, p.C * c2, Gp])
+        d2 = np.stack([-(p.cos2theta - 2 * p.C ** 2 * c2) * sc,
+                       2 * p.C * sc * sqP, (p.C ** 2 + Gp * Gp) * sc])
+        self._breaks = u[1:-1]
+        self._coef = _quintic_hermite(u, y, d1, d2)
 
     def _interp_error(self) -> float:
         """Measure true interpolation error at cell midpoints.
 
         Integrates one extra half-cell from each node and compares against
-        the spline; this is the worst-case interpolation point, so it
+        the interpolant; this is the worst-case interpolation point, so it
         bounds the dense-output error.  The result is kept as interp_error.
         """
         phi = self.phi_nodes
         mid = 0.5 * (phi[:-1] + phi[1:])
         du, dbeta, dG = self._cell_increments(mid, phi[:-1])
         exact = np.stack([mid, self.beta_nodes[:-1] + dbeta,
-                          self.G_nodes[:-1] + dG], axis=1)
+                          self.G_nodes[:-1] + dG])
         self.interp_error = float(
-            np.max(np.abs(self._sp(self.u_nodes[:-1] + du) - exact)))
+            np.max(np.abs(self._dense(self.u_nodes[:-1] + du) - exact)))
         return self.interp_error
 
     def _check_midpoint(self):
         """The half-period laws phi(U/2) = -pi/2, beta(U/2) = beta(U)/2 and
         G(U/2) = G(U)/2 must hold on the converged grid."""
-        mids = np.abs(self._sp(0.5 * self.U)
+        mids = np.abs(self._dense(np.array([0.5 * self.U]))[:, 0]
                       - [-0.5 * math.pi, 0.5 * self.betaU, 0.5 * self.GU])
         if mids.max() > 100 * TOL:
             raise ResolutionError(
@@ -240,6 +247,20 @@ class Profile:
                 f"quadrature is inconsistent")
 
     # -- evaluation --------------------------------------------------------
+
+    def _dense(self, u0: np.ndarray) -> np.ndarray:
+        """(phi, beta, G) at points u0 of [0, U] as a (3, m) array: one
+        interval search, then Horner's rule in s = u0 - u_i per column."""
+        i = np.searchsorted(self._breaks, u0, side="right")
+        s = u0 - self.u_nodes[i]
+        out = np.empty((3, len(u0)))
+        for y, coef in zip(out, self._coef):
+            acc = coef[5][i]
+            for k in range(4, -1, -1):
+                acc *= s
+                acc += coef[k][i]
+            y[:] = acc
+        return out
 
     def eval(self, u) -> ProfileValues:
         """Profile values at arbitrary u via the exact quasi-period laws.
@@ -254,10 +275,10 @@ class Profile:
         over = u0 >= self.U
         u0[over] -= self.U
         k[over] += 1.0
-        y = self._sp(u0)
-        phi = y[:, 0] - k * np.pi
-        beta = y[:, 1] + k * self.betaU
-        G = y[:, 2] + k * self.GU
+        y = self._dense(u0)
+        phi = y[0] - k * np.pi
+        beta = y[1] + k * self.betaU
+        G = y[2] + k * self.GU
         p = self.params
         c2 = np.cos(phi) ** 2
         sqP = np.sqrt(p.alpha ** 2 + p.cos2theta * c2 - p.C ** 2 * c2 * c2)
@@ -287,19 +308,46 @@ class Profile:
                 w.writerow([repr(float(x)) for x in row])
 
 
+def _quintic_hermite(u, y, d1, d2) -> np.ndarray:
+    """Per-cell power-basis coefficients, shape (columns, 6, cells), of the
+    quintic that matches value, slope and curvature at both cell ends.
+
+    The inputs hold one row per column and one entry per node.  In t = (u -
+    u_i) / h the quintic is y0 + h y0' t + h^2 y0'' t^2 / 2 + a3 t^3 + a4 t^4
+    + a5 t^5, where a3, a4, a5 solve the three conditions at t = 1.
+    Coefficient k is divided by h^k, so callers evaluate in s = u - u_i.
+    """
+    h = np.diff(u)
+    dy = y[:, 1:] - y[:, :-1]
+    s0, s1 = h * d1[:, :-1], h * d1[:, 1:]
+    c0, c1 = 0.5 * h * h * d2[:, :-1], 0.5 * h * h * d2[:, 1:]
+    a = np.stack([
+        y[:, :-1], s0, c0,
+        10 * dy - 6 * s0 - 4 * s1 - 3 * c0 + c1,
+        -15 * dy + 8 * s0 + 7 * s1 + 3 * c0 - 2 * c1,
+        6 * dy - 3 * s0 - 3 * s1 - c0 + c1,
+    ], axis=1)
+    return a / h ** np.arange(6)[:, None]
+
+
 def solve_profile(params: AnnulusParams) -> Profile:
     """Solve the profile system on the fundamental interval u in [0, U]."""
     return Profile(params)
 
 
-def identity_residuals(profile: Profile, grid, h: float = 1e-5) -> dict:
+def identity_residuals(profile: Profile, grid, h: float | None = None) -> dict:
     """Max residuals of the five printed differential identities on a grid.
 
     Second derivatives phi'' and G'' are formed by a 5-point finite
     difference (step h) of the closed-form first derivatives, so the checks
-    are independent of the identities being tested.
+    are independent of the identities being tested.  The default step
+    h = 0.5 min(1, U) eps^(1/6) balances the truncation (~ h^4) and roundoff
+    (~ eps / h^2) errors of a 5-point second difference of the profile, with
+    the half-period U as its length scale when U < 1.
     """
     p = profile.params
+    if h is None:
+        h = 0.5 * min(1.0, profile.U) * np.finfo(float).eps ** (1 / 6)
     u = np.asarray(grid, dtype=float)
     v = profile.eval(u)
     sin, cos = np.sin(v.phi), np.cos(v.phi)

@@ -7,10 +7,11 @@ ODE in phi with Gauss cells and evaluates the period integral with a
 periodic trapezoidal rule; none of that machinery is used here, so
 agreement is a genuine cross-check.
 
-The conjugate profile of the CMC annulus has a reference solver: the
-dedicated phi*'^2 = alpha*^2 - cos^2 phi* integrator the library used
-before it solved the conjugate with its one profile solver.  The library
-must reproduce it bit for bit.
+The profile has two references.  One is the solver with the clamped
+cubic-spline dense output the library used before its quintic Hermite
+interpolant; the library must agree with it within the 1e-12 bound both
+certify.  The other, at theta = 0 (helicoid, CMC source and conjugate), is
+closed form: Jacobi elliptic functions from scipy.special.
 
 The mesh data plane has per-element oracles: OBJ and PLY writers and
 readers that handle one line or one face at a time, edge lists from
@@ -25,8 +26,9 @@ import struct
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.special import ellipj, ellipk
 
-from nilcat.errors import DomainError
+from nilcat.errors import ResolutionError
 from nilcat.profile import _GL_W, _GL_X
 
 
@@ -169,42 +171,109 @@ def fd2_5pt(f, x, h):
             + 16 * f(x + h) - f(x + 2 * h)) / (12 * h * h)
 
 
-# -- conjugate profile -----------------------------------------------------
+# -- cubic-spline profile -------------------------------------------------
 
-class ConjugateProfile:
-    """Dense solution of phi*'^2 = alpha*^2 - cos^2 phi*, phi*(0) = 0,
-    decreasing branch, on a fixed 4096-cell phi grid."""
+class SplineProfile:
+    """The profile solver with the dense output the library used before its
+    quintic Hermite interpolant: the same Gauss-Legendre phi-cells, one
+    clamped cubic spline in u through (phi, beta, G), and a grid that starts
+    at 4096 cells and doubles while the spline's midpoint error exceeds
+    1e-12 (cap 2^16).  Takes the three numbers the quartic reads, so it
+    serves the conjugate (alpha*, -1, 0) as well as (alpha, cos 2 theta, C).
+    """
 
-    def __init__(self, alpha_star: float, nodes: int = 4096):
-        if alpha_star <= 1.0:
-            raise DomainError("conjugate profile needs alpha_star > 1")
-        self.alpha_star = alpha_star
-        phi = -np.pi * np.arange(nodes + 1) / nodes
-        lo, hi = phi[1:], phi[:-1]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        psi = mid[:, None] + half[:, None] * _GL_X[None, :]
-        speed = np.sqrt(alpha_star ** 2 - np.cos(psi) ** 2)
-        du = ((half[:, None] * _GL_W[None, :]) / speed).sum(axis=1)
-        u = np.concatenate([[0.0], np.cumsum(du)])
-        self.u_nodes = u
-        self.phi_nodes = phi
-        self.U = float(u[-1])
-        d_end = -math.sqrt(alpha_star ** 2 - 1.0)
-        self._sp = CubicSpline(u, phi, bc_type=((1, d_end), (1, d_end)))
+    def __init__(self, alpha, cos2theta, C):
+        self.alpha, self.cos2theta, self.C = alpha, cos2theta, C
+        nodes = 4096
+        while True:
+            self._build(nodes)
+            if self._interp_error() <= 1e-12:
+                break
+            if nodes >= 1 << 16:
+                raise ResolutionError("spline oracle misses 1e-12 at 2^16")
+            nodes *= 2
+
+    def _increments(self, lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        c2 = np.cos(mid[:, None] + half[:, None] * _GL_X[None, :]) ** 2
+        sqP = np.sqrt(self.alpha ** 2 + self.cos2theta * c2
+                      - self.C ** 2 * c2 * c2)
+        w = half[:, None] * _GL_W[None, :]
+        return ((w / sqP).sum(axis=1),
+                (w * (self.C * c2 / sqP)).sum(axis=1),
+                (w * ((self.C ** 2 * c2 - self.cos2theta)
+                      / ((self.alpha + sqP) * sqP))).sum(axis=1))
+
+    def _build(self, n):
+        phi = -np.pi * np.arange(n + 1) / n
+        cols = [np.concatenate([[0.0], np.cumsum(d)])
+                for d in self._increments(phi[1:], phi[:-1])]
+        self.phi_nodes, (self.u_nodes, self.beta_nodes, self.G_nodes) = \
+            phi, cols
+        self.U, self.betaU, self.GU = (float(c[-1]) for c in cols)
+        sqP1 = math.sqrt(self.alpha ** 2 + self.cos2theta - self.C ** 2)
+        slopes = np.array([-sqP1, self.C, (self.C ** 2 - self.cos2theta)
+                           / (self.alpha + sqP1)])
+        self._sp = CubicSpline(cols[0], np.stack([phi, cols[1], cols[2]], 1),
+                               bc_type=((1, slopes), (1, slopes)))
+
+    def _interp_error(self):
+        phi = self.phi_nodes
+        mid = 0.5 * (phi[:-1] + phi[1:])
+        du, dbeta, dG = self._increments(mid, phi[:-1])
+        exact = np.stack([mid, self.beta_nodes[:-1] + dbeta,
+                          self.G_nodes[:-1] + dG], axis=1)
+        return float(np.max(np.abs(self._sp(self.u_nodes[:-1] + du) - exact)))
 
     def eval(self, u):
-        """(phi*, phi*') at arbitrary u through the quasi-period law."""
-        u_in = np.asarray(u, dtype=float)
-        u = u_in.ravel()
+        """(phi, beta, G) at arbitrary u through the quasi-period laws."""
+        u = np.asarray(u, dtype=float)
         k = np.floor(u / self.U)
         u0 = u - k * self.U
         over = u0 >= self.U
         u0[over] -= self.U
         k[over] += 1.0
-        phi = self._sp(u0) - k * np.pi
-        phiprime = -np.sqrt(self.alpha_star ** 2 - np.cos(phi) ** 2)
-        return phi.reshape(u_in.shape), phiprime.reshape(u_in.shape)
+        y = self._sp(u0)
+        return (y[:, 0] - k * np.pi, y[:, 1] + k * self.betaU,
+                y[:, 2] + k * self.GU)
+
+
+# -- theta = 0 profiles from Jacobi elliptic functions -----------------------
+#
+# At theta = 0, phi'^2 = alpha^2 + cos^2 phi = (1 + alpha^2)(1 - m sin^2 phi)
+# with m = 1 / (1 + alpha^2), so -phi is the Jacobi amplitude of
+# u sqrt(1 + alpha^2) and U = 2 K(m) / sqrt(1 + alpha^2) (DLMF 22.16.1,
+# 19.2.8).  The conjugate phi*'^2 = alpha*^2 - cos^2 phi* = alpha^2 (1 +
+# sin^2 phi* / alpha^2) has the negative parameter -1/alpha^2: U* = 2 K(-1 /
+# alpha^2) / alpha, and the imaginary-modulus transformation (DLMF 22.17.2)
+# gives sin am = k' sn1 / dn1, cos am = cn1 / dn1 with k' = alpha / alpha*,
+# where sn1, cn1, dn1 have argument alpha* u and parameter m.
+
+def elliptic_U(alpha):
+    return 2.0 * ellipk(1.0 / (1.0 + alpha * alpha)) \
+        / math.sqrt(1.0 + alpha * alpha)
+
+
+def elliptic_conjugate_U(alpha):
+    return 2.0 * ellipk(-1.0 / (alpha * alpha)) / alpha
+
+
+def _amplitude(alpha, u):
+    """am(u sqrt(1 + alpha^2) | 1 / (1 + alpha^2))."""
+    a2 = 1.0 + alpha * alpha
+    return ellipj(np.asarray(u, dtype=float) * math.sqrt(a2), 1.0 / a2)[3]
+
+
+def elliptic_phi(alpha, u):
+    return -_amplitude(alpha, u)
+
+
+def elliptic_conjugate_phi(alpha, u):
+    am1 = _amplitude(alpha, u)
+    am = np.arctan2(alpha / math.sqrt(1.0 + alpha * alpha) * np.sin(am1),
+                    np.cos(am1))
+    # am and am1 lie in the same quadrant: unwrap am onto am1's branch
+    return -(am + 2.0 * np.pi * np.round((am1 - am) / (2.0 * np.pi)))
 
 
 # -- mesh data plane -------------------------------------------------------

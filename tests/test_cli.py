@@ -166,7 +166,7 @@ class TestCommands:
         ["mesh-helicoid", "--out", "m.obj"],
     ])
     def test_small_alpha_builds(self, tmp_path, argv):
-        # alpha 0.05 needs 32768 profile cells; 4096 fixed cells raised
+        # a fixed 4096-cell cubic-spline profile raised at alpha 0.05
         argv = argv[:-1] + [str(tmp_path / argv[-1])]
         assert run_cli(*argv, "--alpha", "0.05") == 0
         assert (tmp_path / argv[-1]).stat().st_size > 0

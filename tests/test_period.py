@@ -226,11 +226,34 @@ class TestSolvePeriodCommand:
         assert "period identity defect" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+def _scipy_modules_after(code):
+    """Names of the scipy modules loaded by a fresh interpreter that runs
+    `code` after `import nilcat.cli`."""
     src = os.path.dirname(os.path.dirname(period.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, nilcat.cli; print('scipy.integrate' in sys.modules)"],
+         "import sys, nilcat.cli\n" + code + "\nprint(sorted(m for m in "
+         "sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the run time is numpy-only: no scipy module at all, not only
+    # scipy.integrate
+    assert _scipy_modules_after("") == "[]"
+
+
+def test_cli_runs_leave_out_scipy(tmp_path):
+    # in-process commands and the halfplane curve's tangential zero at
+    # alpha = 1 (golden-section search) import nothing from scipy either
+    code = (
+        "from nilcat.cli import main\n"
+        "from nilcat.cmc import build_cmc_annulus, halfplane_curve\n"
+        f"assert main(['mesh-cmc', '--nu', '32', '--nv', '16', '--out', "
+        f"{str(tmp_path / 'm.obj')!r}]) == 0\n"
+        f"assert main(['limit-study', '--alpha-sweep', '0.5:2:2', '--out', "
+        f"{str(tmp_path / 'l.csv')!r}]) == 0\n"
+        "assert halfplane_curve(build_cmc_annulus(1.0)).tangential\n")
+    assert _scipy_modules_after(code) == "[]"

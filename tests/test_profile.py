@@ -8,11 +8,14 @@ from nilcat import (
     AnnulusParams,
     DomainError,
     ResolutionError,
+    build_cmc_annulus,
+    build_helicoid,
     identity_residuals,
     quartic_P,
     solve_profile,
     theta_plus,
 )
+from nilcat.profile import TOL
 
 # Oracle fixture: 200-step bisection on a 1e6-point midpoint-Riemann period
 # integral (oracles.theta_tilde_bisect(1.0)), frozen here because the full
@@ -127,17 +130,69 @@ class TestSolveProfile:
             solve_profile(bad)
 
     def test_node_cap_raises(self):
-        # at alpha = 0.005 even MAX_NODES cells miss the 1e-12 dense error
+        # at alpha = 0.001 even MAX_NODES cells miss the 1e-12 dense error
         with pytest.raises(ResolutionError):
-            solve_profile(AnnulusParams(0.005, 0.0))
+            solve_profile(AnnulusParams(0.001, 0.0))
 
-    @pytest.mark.parametrize("alpha,nodes", [(1.0, 4096), (0.1, 8192),
-                                             (0.05, 32768), (0.02, 65536)])
+    @pytest.mark.parametrize("alpha,nodes", [(1.0, 128), (0.1, 1024),
+                                             (0.05, 2048), (0.02, 8192),
+                                             (0.005, 32768)])
     def test_node_count_doubles_until_resolved(self, alpha, nodes):
         prof = solve_profile(AnnulusParams(alpha, 0.0))
         assert prof.nodes_n == nodes
         assert prof.interp_error <= 1e-12
         assert len(prof.u_nodes) == nodes + 1
+
+
+class TestSplineOracle:
+    """The quintic Hermite profile against the cubic-spline solver it
+    replaced (oracles.SplineProfile): both certify a 1e-12 dense-output
+    error, so all three columns and the periods agree within TOL."""
+
+    @pytest.mark.parametrize("alpha,theta", [(1.0, THETA_TILDE_1), (2.0, 0.3),
+                                             (37.0, 0.7)])
+    def test_matches_spline_oracle_within_tol(self, alpha, theta):
+        p = AnnulusParams(alpha, theta)
+        got = solve_profile(p)
+        ref = oracles.SplineProfile(alpha, p.cos2theta, p.C)
+        for a, b in [(got.U, ref.U), (got.betaU, ref.betaU), (got.GU, ref.GU)]:
+            assert abs(a - b) <= TOL
+        u = np.random.default_rng(7).uniform(-5 * ref.U, 5 * ref.U, 20000)
+        v, (phi, beta, G) = got.eval(u), ref.eval(u)
+        for a, b in [(v.phi, phi), (v.beta, beta), (v.G, G)]:
+            assert np.max(np.abs(a - b)) <= TOL
+
+
+class TestEllipticOracle:
+    """theta = 0 profiles against Jacobi elliptic functions: the helicoid's,
+    the CMC annulus's source and its conjugate, U and phi over three
+    periods."""
+
+    ALPHAS = [0.02, 0.05, 0.2, 0.7, 1.0, 3.0, 37.0, 100.0]
+
+    @staticmethod
+    def _assert_matches(prof, U, phi_of):
+        assert abs(prof.U - U) <= 1e-12
+        u = np.linspace(-3 * U, 3 * U, 20001)
+        assert np.max(np.abs(prof.eval(u).phi - phi_of(u))) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_helicoid_and_cmc_source(self, alpha):
+        U = oracles.elliptic_U(alpha)
+        for prof in (build_helicoid(alpha).profile,
+                     build_cmc_annulus(alpha).profile):
+            self._assert_matches(prof, U,
+                                 lambda u: oracles.elliptic_phi(alpha, u))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_conjugate(self, alpha):
+        conj = build_cmc_annulus(alpha).conjugate
+        # the alpha the conjugate really solves for: alpha*^2 - 1 with the
+        # rounded alpha*, formed without cancellation
+        a_s = conj.params.alpha
+        a = math.sqrt((a_s - 1.0) * (a_s + 1.0))
+        self._assert_matches(conj, oracles.elliptic_conjugate_U(a),
+                             lambda u: oracles.elliptic_conjugate_phi(a, u))
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,11 @@
-"""Source guard: one 5-point stencil, one root finder, one sweep path.
+"""Source guard: one 5-point stencil, one root finder, one sweep path, and
+a numpy-only run time.
 
 Each derivative stencil lives in `nil3.stencil5`, roots are refined by
-`scipy.optimize.brentq`, and alpha sweeps run as plain loops.  These scans
-fail if a copy of the stencil denominator, a hand-rolled bisection loop or
-a thread pool comes back into `src/nilcat`.
+`roots.brentq`, alpha sweeps run as plain loops, and nothing in
+`src/nilcat` imports scipy.  These scans fail if a copy of the stencil
+denominator, a second Brent routine, a hand-rolled bisection loop, a thread
+pool or a scipy import comes back.
 """
 
 import ast
@@ -43,3 +45,25 @@ def test_no_thread_pool_or_bisection_loop():
         assert "ThreadPoolExecutor" not in text, name
         assert "range(200)" not in text, name
         assert "NILCAT_THREADS" not in text, name
+
+
+def test_no_scipy_import():
+    hits = []
+    for name, text in _sources().items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                mods = [node.module]
+            else:
+                continue
+            hits += [f"{name}:{node.lineno}: {m}" for m in mods
+                     if m.split(".")[0] == "scipy"]
+    assert hits == []
+
+
+def test_one_brentq():
+    defs = [name for name, text in _sources().items()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.FunctionDef) and node.name == "brentq"]
+    assert defs == ["roots.py"]
