@@ -11,9 +11,13 @@ record in one pass, the OBJ reader picks out the `v` and `f` records with
 one regular-expression scan each and parses each block in one `np.loadtxt`,
 and the PLY face block is one structured array (a uchar count and three int32
 indices per face) written with `tobytes` and read with `np.frombuffer`.
-Undirected edges are encoded as int64 keys lo * n_vertices + hi, so edge
-counting is one 1-D `np.unique`; the key order is the lexicographic order
-of the (lo, hi) pairs.
+Undirected edges are encoded as int64 keys lo * n_vertices + hi, whose
+order is the lexicographic order of the (lo, hi) pairs.  Edge counting is
+one sort of the keys plus a compare of each key with its neighbour: a plain
+`np.unique` in numpy 2 deduplicates integers through a hash table and then
+sorts its output anyway, which for the 59,400 keys of a side-100 catenoid
+took 6.4-7.8 ms against 0.52-0.56 ms for the sort alone (2-vCPU VM, numpy
+2.4).
 """
 
 from __future__ import annotations
@@ -56,28 +60,37 @@ class Mesh:
         return len(self.faces)
 
 
-def _edge_keys(mesh: Mesh) -> np.ndarray:
-    """One int64 key lo * n_vertices + hi per face side (lo < hi)."""
-    a = mesh.faces
-    b = np.roll(a, -1, axis=1)
-    return np.minimum(a, b) * mesh.n_vertices + np.maximum(a, b)
+def _edge_uses(mesh: Mesh):
+    """Sorted unique undirected edge keys and the face sides using each.
+
+    Face side (a, b) has the int64 key lo * n_vertices + hi, lo < hi.  The
+    keys are sorted once; each run of equal keys is one edge, and its
+    length the number of face sides on it.
+    """
+    a = mesh.faces.T
+    b = a[[1, 2, 0]]
+    keys = (np.minimum(a, b) * mesh.n_vertices + np.maximum(a, b)).ravel()
+    keys.sort()
+    starts = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
+    starts = np.flatnonzero(starts)
+    return keys[starts[:-1]], np.diff(starts)
 
 
 def undirected_edges(mesh: Mesh) -> np.ndarray:
     """Unique undirected edges as a sorted (k, 2) array."""
-    lo, hi = np.divmod(np.unique(_edge_keys(mesh)), mesh.n_vertices)
+    lo, hi = np.divmod(_edge_uses(mesh)[0], mesh.n_vertices)
     return np.stack([lo, hi], axis=1)
 
 
 def euler_characteristic(mesh: Mesh) -> int:
     """V - E + F; 0 for an annulus with open boundary rings."""
-    return mesh.n_vertices - len(np.unique(_edge_keys(mesh))) + mesh.n_faces
+    return mesh.n_vertices - len(_edge_uses(mesh)[0]) + mesh.n_faces
 
 
 def boundary_edge_count(mesh: Mesh) -> int:
     """Edges used by exactly one face."""
-    _, counts = np.unique(_edge_keys(mesh), return_counts=True)
-    return int(np.sum(counts == 1))
+    return int(np.count_nonzero(_edge_uses(mesh)[1] == 1))
 
 
 # -- atomic, deterministic writers -------------------------------------------

@@ -7,11 +7,13 @@ ODE in phi with Gauss cells and evaluates the period integral with a
 periodic trapezoidal rule; none of that machinery is used here, so
 agreement is a genuine cross-check.
 
-The profile has two references.  One is the solver with the clamped
+The profile has three references.  One is the solver with the clamped
 cubic-spline dense output the library used before its quintic Hermite
 interpolant; the library must agree with it within the 1e-12 bound both
-certify.  The other, at theta = 0 (helicoid, CMC source and conjugate), is
-closed form: Jacobi elliptic functions from scipy.special.
+certify.  One is the library's own grid with the plain doubling search it
+used before jumping by the error model; both must stop at the same count.
+The third, at theta = 0 (helicoid, CMC source and conjugate), is closed
+form: Jacobi elliptic functions from scipy.special.
 
 The mesh data plane has per-element oracles: OBJ and PLY writers and
 readers that handle one line or one face at a time, edge lists from
@@ -29,7 +31,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import ellipj, ellipk
 
 from nilcat.errors import ResolutionError
-from nilcat.profile import _GL_W, _GL_X
+from nilcat.profile import MAX_NODES, START_NODES, TOL, Profile, _GL_W, _GL_X
 
 
 def P_of(alpha, theta, x):
@@ -236,6 +238,27 @@ class SplineProfile:
         y = self._sp(u0)
         return (y[:, 0] - k * np.pi, y[:, 1] + k * self.betaU,
                 y[:, 2] + k * self.GU)
+
+
+class DoublingProfile(Profile):
+    """The library's profile with the grid search it used before the jump:
+    build at START_NODES cells and double while the measured midpoint error
+    exceeds TOL, raising at MAX_NODES.  Counts its builds in builds."""
+
+    def __init__(self, params):
+        self.params = params
+        self.nodes_n = START_NODES
+        self.builds = 0
+        self._build()
+        while self._interp_error() > TOL:
+            if self.nodes_n >= MAX_NODES:
+                raise ResolutionError("doubling misses TOL at MAX_NODES")
+            self.nodes_n *= 2
+            self._build()
+
+    def _build(self):
+        self.builds += 1
+        super()._build()
 
 
 # -- theta = 0 profiles from Jacobi elliptic functions -----------------------

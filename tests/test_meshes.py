@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from nilcat import DomainError
+from nilcat import (
+    DomainError,
+    build_catenoid,
+    build_cmc_annulus,
+    build_helicoid,
+    mesh_catenoid,
+    mesh_helicoid,
+    reflect_and_mesh,
+)
 from nilcat.meshes import (
     Mesh,
     boundary_edge_count,
@@ -58,6 +66,40 @@ def random_mesh(seed, n_vertices=60, n_faces=150):
     return Mesh(rng.standard_normal((n_vertices, 3)), faces)
 
 
+def large_random_mesh(n_vertices=20000, n_faces=120000):
+    """Random triangles with three distinct corners, drawn whole-array:
+    corner offsets 0 < d1 < d2 < n_vertices."""
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, n_vertices, n_faces)
+    d1 = rng.integers(1, n_vertices // 2, n_faces)
+    d2 = d1 + rng.integers(1, n_vertices // 2, n_faces)
+    faces = np.stack([a, a + d1, a + d2], axis=1) % n_vertices
+    return Mesh(rng.standard_normal((n_vertices, 3)), faces)
+
+
+def edge_case_mesh(name):
+    """The meshes the edge counters are checked on, by test id."""
+    if name.isdigit():
+        return random_mesh(int(name))
+    if name == "duplicated_faces":
+        m = random_mesh(5)
+        return Mesh(m.vertices, np.concatenate([m.faces, m.faces[::3],
+                                                m.faces[:7, ::-1]]))
+    if name == "edge_of_three_faces":
+        # a fin: edge (0, 1) is a side of three triangles
+        verts = np.random.default_rng(6).standard_normal((5, 3))
+        return Mesh(verts, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+    if name == "large_random":
+        return large_random_mesh()
+    if name == "catenoid":
+        return mesh_catenoid(build_catenoid(1.5), (-1.0, 1.0), 100, 100)
+    if name == "helicoid":
+        return mesh_helicoid(build_helicoid(1.5), (-1.0, 1.0), 100, 100)
+    if name == "cmc":
+        return reflect_and_mesh(build_cmc_annulus(1.5), 100, 50, (-1.0, 1.0))
+    raise KeyError(name)
+
+
 class TestTopology:
     def test_two_triangle_square_is_disk(self):
         m = quad_mesh()
@@ -69,9 +111,12 @@ class TestTopology:
         assert euler_characteristic(m) == 0
         assert boundary_edge_count(m) == 16
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_edges_match_oracle_on_random_meshes(self, seed):
-        m = random_mesh(seed)
+    @pytest.mark.parametrize("name", ["0", "1", "2", "3", "4",
+                                      "duplicated_faces",
+                                      "edge_of_three_faces", "large_random",
+                                      "catenoid", "helicoid", "cmc"])
+    def test_edges_match_oracle_on_random_meshes(self, name):
+        m = edge_case_mesh(name)
         edges = undirected_edges(m)
         assert edges.dtype == np.int64
         assert np.array_equal(edges, oracles.undirected_edges(m.faces))

@@ -15,7 +15,7 @@ from nilcat import (
     solve_profile,
     theta_plus,
 )
-from nilcat.profile import TOL
+from nilcat.profile import TOL, Profile
 
 # Oracle fixture: 200-step bisection on a 1e6-point midpoint-Riemann period
 # integral (oracles.theta_tilde_bisect(1.0)), frozen here because the full
@@ -142,6 +142,35 @@ class TestSolveProfile:
         assert prof.nodes_n == nodes
         assert prof.interp_error <= 1e-12
         assert len(prof.u_nodes) == nodes + 1
+
+
+class TestGridJump:
+    """The jump by the n^-6 error model lands on the count plain doubling
+    reaches (oracles.DoublingProfile), in fewer builds."""
+
+    @pytest.mark.parametrize("alpha", np.geomspace(0.005, 100, 41))
+    def test_same_count_as_doubling(self, alpha):
+        for theta in (0.0, 0.5 * theta_plus(alpha)):
+            p = AnnulusParams(alpha, theta)
+            got, ref = solve_profile(p), oracles.DoublingProfile(p)
+            assert got.nodes_n == ref.nodes_n
+            assert got.interp_error == ref.interp_error
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.005])
+    def test_fewer_builds(self, monkeypatch, alpha):
+        builds = []
+        build = Profile._build
+
+        def counting(self):
+            builds.append(self.nodes_n)
+            build(self)
+
+        monkeypatch.setattr(Profile, "_build", counting)
+        got = solve_profile(AnnulusParams(alpha, 0.0))
+        monkeypatch.undo()
+        ref = oracles.DoublingProfile(AnnulusParams(alpha, 0.0))
+        assert builds[-1] == got.nodes_n == ref.nodes_n
+        assert len(builds) < ref.builds
 
 
 class TestSplineOracle:
