@@ -6,11 +6,13 @@ keys.  OBJ is ASCII with 17 significant digits; PLY is binary
 little-endian with float64 vertex coordinates, so a round trip through
 read_ply is bit-exact.
 
-All file I/O is whole-array: the OBJ writer formats every vertex and face
-record in one pass, the OBJ reader picks out the `v` and `f` records with
-one regular-expression scan each and parses each block in one `np.loadtxt`,
-and the PLY face block is one structured array (a uchar count and three int32
-indices per face) written with `tobytes` and read with `np.frombuffer`.
+OBJ numbers go through the exact whole-array conversion of `objtext`
+(byte for byte '%.17g' % x when written, float(token) when read).  The
+PLY face block is one structured array (a uchar count and three int32
+indices per face) written with `tobytes` and read with `np.frombuffer`;
+read_ply accepts only the header write_ply writes and a body of exactly
+the declared size.
+
 Undirected edges are encoded as int64 keys lo * n_vertices + hi, whose
 order is the lexicographic order of the (lo, hi) pairs.  Edge counting is
 one sort of the keys plus a compare of each key with its neighbour: a plain
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 from dataclasses import dataclass
 
@@ -110,41 +111,13 @@ def _atomic_write_bytes(path, data: bytes):
 
 
 def write_obj(mesh: Mesh, path):
-    v_lines = "v %.17g %.17g %.17g\n" * mesh.n_vertices
-    f_lines = "f %d %d %d\n" * mesh.n_faces
-    text = v_lines % tuple(mesh.vertices.ravel().tolist()) \
-        + f_lines % tuple((mesh.faces + 1).ravel().tolist())
-    _atomic_write_bytes(path, text.encode())
-
-
-def _obj_records(text: str, key: str) -> str:
-    """The rest of every line whose first token is key, newline-joined.
-
-    Every line of text must follow a newline: searching for that literal
-    is much faster than trying a multiline '^' at every character.
-    """
-    pattern = rf"\n[^\S\n]*{key}(?!\S)[^\S\n]*(.*)"
-    return "\n".join(re.findall(pattern, text))
-
-
-def _first_three(block: str, dtype) -> np.ndarray:
-    """The first three numbers on each line of block, as an (n, 3) array."""
-    if not block:  # np.loadtxt warns on no data
-        return np.empty((0, 3), dtype=dtype)
-    lines = block.split("\n")
-    out = np.loadtxt(lines, dtype=dtype, usecols=(0, 1, 2), ndmin=2)
-    if len(out) != len(lines):  # np.loadtxt skips blank lines
-        raise DomainError("an OBJ record holds no numbers")
-    return out
+    from . import objtext  # on first use only; see its docstring
+    _atomic_write_bytes(path, objtext.obj_bytes(mesh.vertices, mesh.faces))
 
 
 def read_obj(path) -> Mesh:
-    with open(path) as fh:
-        text = "\n" + fh.read()
-    verts = _first_three(_obj_records(text, "v"), np.float64)
-    # a face corner 'a/b/c' keeps only its vertex index a
-    corners = re.sub(r"/\S*", "", _obj_records(text, "f"))
-    return Mesh(verts, _first_three(corners, np.int64) - 1)
+    from . import objtext
+    return Mesh(*objtext.obj_arrays(path))
 
 
 _PLY_HEADER = """ply
@@ -171,17 +144,34 @@ def write_ply(mesh: Mesh, path):
 
 
 def read_ply(path) -> Mesh:
+    """Read a PLY file of the one layout write_ply writes: every header line
+    but the two counts must match _PLY_HEADER, and the body must hold
+    exactly the bytes the counts call for."""
     with open(path, "rb") as fh:
         data = fh.read()
-    end = data.index(b"end_header\n") + len(b"end_header\n")
-    header = data[:end].decode()
-    nv = nf = 0
-    for line in header.splitlines():
-        parts = line.split()
-        if parts[:2] == ["element", "vertex"]:
-            nv = int(parts[2])
-        elif parts[:2] == ["element", "face"]:
-            nf = int(parts[2])
+    end = data.find(b"end_header\n")
+    if end < 0:
+        raise DomainError("the PLY file has no end_header line")
+    end += len(b"end_header\n")
+    lines = data[:end].decode("latin-1").split("\n")[:-1]
+    want = _PLY_HEADER.split("\n")[:-1]
+    counts = []
+    for i in range(max(len(lines), len(want))):
+        got = lines[i] if i < len(lines) else None
+        line = want[i] if i < len(want) else None
+        if line is not None and "{" in line:  # element vertex/face {n}
+            key = line[:line.index("{")]
+            if got is not None and got.startswith(key) \
+                    and got[len(key):].isdecimal():
+                counts.append(int(got[len(key):]))
+                continue
+        if got != line:
+            raise DomainError(f"unsupported PLY header line {got!r}, "
+                              f"expected {line!r}")
+    nv, nf = counts
+    if len(data) - end != 24 * nv + _PLY_FACE.itemsize * nf:
+        raise DomainError(f"PLY body of {len(data) - end} bytes; the header "
+                          f"calls for {24 * nv + _PLY_FACE.itemsize * nf}")
     verts = np.frombuffer(data, dtype="<f8", count=3 * nv, offset=end)
     faces = np.frombuffer(data, dtype=_PLY_FACE, count=nf,
                           offset=end + 24 * nv)

@@ -28,9 +28,9 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .nil3 import STENCIL5, stencil5
 
-# The node count starts at START_NODES phi-cells, jumps to the count the
-# n^-6 error model predicts, then doubles while the self-check's
-# dense-output error exceeds TOL, up to the period rule's cap.
+# The node count starts at START_NODES phi-cells, jumps to one doubling
+# short of the count the n^-6 error model predicts, then doubles while the
+# self-check's dense-output error exceeds TOL, up to the period rule's cap.
 START_NODES = 128
 MAX_NODES = 1 << 16
 TOL = 1e-12
@@ -140,14 +140,15 @@ class Profile:
     The grid starts at START_NODES cells.  The quintic's midpoint error
     falls like n^-6, 64x per doubling (slower on coarse grids at small
     alpha), so the grid jumps from the first measured dense-output error
-    (interp_error) to the first doubling at which that model predicts TOL,
-    then doubles while the measured error exceeds TOL.  Single doublings
-    have fallen by up to 70x, but the fall over k doublings from
-    START_NODES stayed below 64^k for every pack tried (alpha 0.005-100,
-    theta up to 0.95 theta_plus, the conjugate), so the jump lands on the
-    count plain doubling reaches, in at most three builds instead of up to
-    nine.  Reaching MAX_NODES first raises ResolutionError.  Small alpha
-    needs the finer grids.
+    (interp_error) to one doubling short of the count at which that model
+    predicts TOL, then doubles while the measured error exceeds TOL.
+    Single doublings have fallen by up to 70x, and at alpha 0.0143 and
+    0.0177 the model's count was the final count with no doubling to
+    spare; one doubling short, the jump lands on the count plain doubling
+    reaches unless the error falls more than 64x faster than the model
+    over the whole jump, in at most four builds instead of up to nine.
+    Reaching MAX_NODES first raises ResolutionError.  Small alpha needs the
+    finer grids.
 
     params is an AnnulusParams or any pack of the fields the quartic reads
     (alpha, cos2theta, C) plus its admissibility flag in_omega; the CMC
@@ -164,20 +165,27 @@ class Profile:
         self.params = params
         self.nodes_n = START_NODES
         self._build()
-        if self._interp_error() > TOL:
-            # jump to the first doubling at which the n^-6 model passes
-            predicted = self.interp_error
-            while predicted > TOL and self.nodes_n < MAX_NODES:
-                self.nodes_n *= 2
+        error = self._interp_error()
+        if error > TOL:
+            # one doubling short of the count the n^-6 model predicts: a
+            # fall up to 64x faster than the model over the jump still
+            # lands on the count plain doubling reaches
+            n, predicted = self.nodes_n, error
+            while predicted > TOL and n < MAX_NODES:
+                n *= 2
                 predicted /= 64.0
-            self._build()
-            while self._interp_error() > TOL:
-                if self.nodes_n >= MAX_NODES:
-                    raise ResolutionError(
-                        f"dense output error {self.interp_error:.3e} exceeds "
-                        f"tol {TOL:.1e} at the cap of {MAX_NODES} nodes")
-                self.nodes_n *= 2
+            if n // 2 > self.nodes_n:
+                self.nodes_n = n // 2
                 self._build()
+                error = self._interp_error()
+        while error > TOL:
+            if self.nodes_n >= MAX_NODES:
+                raise ResolutionError(
+                    f"dense output error {self.interp_error:.3e} exceeds "
+                    f"tol {TOL:.1e} at the cap of {MAX_NODES} nodes")
+            self.nodes_n *= 2
+            self._build()
+            error = self._interp_error()
         self._check_midpoint()
 
     # -- construction -----------------------------------------------------

@@ -250,6 +250,36 @@ class TestPly:
         with pytest.raises(DomainError):
             read_ply(tmp_path / "q.ply")
 
+    @pytest.mark.parametrize("layout", ["big_endian", "float32"])
+    def test_other_layouts_rejected(self, tmp_path, layout):
+        # read as <f8 these files would give garbage vertices, not an error
+        m = Mesh(np.arange(9.0).reshape(3, 3), np.zeros((0, 3), dtype=int))
+        header = oracles.PLY_HEADER.format(nv=3, nf=0)
+        if layout == "big_endian":
+            header = header.replace("little", "big")
+            body = m.vertices.astype(">f8").tobytes()
+        else:
+            header = header.replace("property double", "property float")
+            body = m.vertices.astype("<f4").tobytes()
+            body += bytes(12 * 3)  # as long as the <f8 body, so only
+            # the header tells the layouts apart
+        (tmp_path / "m.ply").write_bytes(header.encode() + body)
+        with pytest.raises(DomainError, match="header line"):
+            read_ply(tmp_path / "m.ply")
+
+    @pytest.mark.parametrize("cut", [1, 13, 24])
+    def test_truncated_body_rejected(self, tmp_path, cut):
+        m = quad_mesh()
+        data = oracles.ply_bytes(m.vertices, m.faces)
+        (tmp_path / "m.ply").write_bytes(data[:-cut])
+        with pytest.raises(DomainError, match="body"):
+            read_ply(tmp_path / "m.ply")
+
+    def test_missing_end_header_rejected(self, tmp_path):
+        (tmp_path / "m.ply").write_bytes(b"ply\nformat ascii 1.0\n")
+        with pytest.raises(DomainError):
+            read_ply(tmp_path / "m.ply")
+
     def test_vertex_count_preserved_across_formats(self, tmp_path):
         m = torus_like()
         write_mesh(m, "obj", tmp_path / "m.obj")

@@ -156,6 +156,17 @@ class TestGridJump:
             assert got.nodes_n == ref.nodes_n
             assert got.interp_error == ref.interp_error
 
+    @pytest.mark.parametrize("alpha", [0.0143, 0.0177])
+    @pytest.mark.parametrize("frac", [0.0, 0.25, 0.5, 0.75, 0.95])
+    def test_same_count_where_the_model_has_no_doubling_to_spare(self, alpha,
+                                                                 frac):
+        # here the n^-6 model's count was the final count, and single
+        # doublings fell by 65.8x and 66.3x, faster than the model's 64x
+        p = AnnulusParams(alpha, frac * theta_plus(alpha))
+        got, ref = solve_profile(p), oracles.DoublingProfile(p)
+        assert got.nodes_n == ref.nodes_n
+        assert got.interp_error == ref.interp_error
+
     @pytest.mark.parametrize("alpha", [0.02, 0.005])
     def test_fewer_builds(self, monkeypatch, alpha):
         builds = []

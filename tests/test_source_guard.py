@@ -1,12 +1,13 @@
 """Source guard: one 5-point stencil, one root finder, one sweep path, one
-edge counter, and a numpy-only run time.
+edge counter, one OBJ number conversion, and a numpy-only run time.
 
 Each derivative stencil lives in `nil3.stencil5`, roots are refined by
 `roots.brentq`, alpha sweeps run as plain loops, mesh edges are counted by
-one sort in `meshes._edge_uses`, and nothing in `src/nilcat` imports scipy.
-These scans fail if a copy of the stencil denominator, a second Brent
-routine, a hand-rolled bisection loop, a thread pool, an `np.unique` in
-the mesh module or a scipy import comes back.
+one sort in `meshes._edge_uses`, OBJ numbers go through the whole-array
+conversion of `objtext`, and nothing in `src/nilcat` imports scipy.  These
+scans fail if a copy of the stencil denominator, a second Brent routine, a
+hand-rolled bisection loop, a thread pool, an `np.unique` in the mesh
+module, a second OBJ conversion path or a scipy import comes back.
 """
 
 import ast
@@ -81,4 +82,41 @@ def test_no_unique_in_meshes():
     hits = [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "unique"
             or isinstance(node, ast.alias) and node.name == "unique"]
+    assert hits == []
+
+
+def _code_nodes(text):
+    """The AST nodes of a module, without its docstrings."""
+    tree = ast.parse(text)
+    docs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                and node.body and isinstance(node.body[0], ast.Expr) \
+                and isinstance(node.body[0].value, ast.Constant):
+            docs.add(id(node.body[0].value))
+    return [node for node in ast.walk(tree) if id(node) not in docs]
+
+
+def test_one_obj_number_conversion():
+    """OBJ numbers are written and read by the whole-array conversion in
+    `objtext`; '%.17g' formats only the rare number it leaves.  A record
+    template such as "v %.17g %.17g %.17g\\n", an `np.loadtxt` or the `re`
+    module would be a second, per-number path through every record (the
+    one the conversion replaced, about three quarters of a mesh-export
+    block).  The scan reads the code, not the docstrings."""
+    hits = []
+    text = _sources()
+    for node in [n for name in ("meshes.py", "objtext.py")
+                 for n in _code_nodes(text[name])]:
+        if isinstance(node, ast.Attribute) and node.attr == "loadtxt" \
+                or isinstance(node, ast.alias) and node.name == "loadtxt":
+            hits.append((node.lineno, "loadtxt"))
+        elif isinstance(node, ast.Import) \
+                and any(a.name == "re" for a in node.names) \
+                or isinstance(node, ast.ImportFrom) and node.module == "re":
+            hits.append((node.lineno, "import re"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and ("%.17g" in node.value and node.value != "%.17g"
+                     or "%d %d" in node.value):
+            hits.append((node.lineno, node.value))
     assert hits == []
