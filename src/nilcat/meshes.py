@@ -134,6 +134,9 @@ _PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", (3,))])
 
 
 def write_ply(mesh: Mesh, path):
+    if mesh.n_vertices > 2 ** 31 - 1:
+        raise DomainError(f"{mesh.n_vertices} vertices: PLY face indices "
+                          f"are int32")
     faces = np.empty(mesh.n_faces, dtype=_PLY_FACE)
     faces["n"] = 3
     faces["i"] = mesh.faces

@@ -9,11 +9,14 @@ endpoint factor.  Substituting x = sin t turns it into an integrand over t
 in [-pi/2, pi/2] that depends on t only through x^2 = sin^2 t, so it is
 smooth and pi-periodic.  The plain trapezoidal rule converges exponentially
 on such integrands (Trefethen & Weideman, SIAM Review 56, 2014).  The rule
-starts at 16 nodes and doubles, reusing every node already evaluated, until
-the n- and 2n-node sums agree to the requested tolerance; that difference
-is the reported error estimate.  The full-period constants U, beta(U) and
-G(U) are integrals of functions of cos^2 phi = x^2 too, so the same rule
-gives them, in the pass that also evaluates the asymptotic integrals I1-I3.
+starts at 16 nodes and doubles until the n- and 2n-node sums agree to the
+requested tolerance; that difference is the reported error estimate.  Its
+nodes are prefixes of one process-wide table of x^2, in the order the
+doublings add them.  The integrand runs once on the first 128, which most
+ladders never pass, and once per doubling beyond.  The full-period
+constants U, beta(U) and G(U) are integrals of functions of cos^2 phi = x^2
+too, so the same rule gives them, in the pass that also evaluates the
+asymptotic integrals I1-I3.
 L is negative at theta = 0, increasing in theta, and tends to +infinity at
 the admissibility boundary, so the root is unique and a sign-checked
 bracket makes Brent's method safe.
@@ -61,27 +64,50 @@ class PeriodIntegrals:
     GU: float | None = None
 
 
+# x^2 = sin^2 t at the nodes in the order the ladder adds them (the 16-node
+# rule, then each doubling's midpoints).  _ladder_nodes grows it up to
+# _N_MAX; threads racing to grow it build the same entries.
+_X2 = np.empty(0)
+# An integrand call costs more than its arithmetic on 128 nodes, though most
+# ladders stop at 32 (measured against 32 and 64, see CHANGES.md).
+_N_FIRST = 128
+
+
+def _ladder_nodes(n):
+    """The first n entries of the node table, n a power of two."""
+    global _X2
+    x2 = _X2
+    while len(x2) < n:
+        k, mid = (len(x2), 0.5) if len(x2) else (_N_START, 0.0)
+        t = (np.arange(k) + mid) * (math.pi / k)
+        x2 = _X2 = np.concatenate([x2, np.cos(t) ** 2])
+    return x2[:n]
+
+
 def _periodic_trapezoid(rows, tol):
     """Integrals over t in [-pi/2, pi/2] of the integrand rows.
 
     rows(x2) maps x^2 = sin^2 t at a node batch to an (m, len(x2)) array.
     The nodes t_k = k h - pi/2 have sin^2 t_k = cos^2(k h); each doubling
-    adds the midpoints.  Returns (integrals, error estimate, converged).
+    adds the midpoints.  rows runs on the table's first _N_FIRST nodes,
+    then once per doubling past them; with |f| stacked under f, a level's
+    sums are one pairwise sum.  Returns (integrals, error, converged).
     """
-    n = _N_START
-    h = math.pi / n
-    f = rows(np.cos(np.arange(n) * h) ** 2)
-    total, abs_total = f.sum(axis=1), np.abs(f).sum(axis=1)
-    est = total * h
+    f = rows(_ladder_nodes(_N_FIRST))
+    m, g, lo = len(f), np.concatenate([f, np.abs(f)]), 0
+    n, h = _N_START, math.pi / _N_START
+    sums = g[:, :n].sum(axis=1)
+    est = sums[:m] * h
     while True:
-        f = rows(np.cos((np.arange(n) + 0.5) * h) ** 2)
-        total = total + f.sum(axis=1)
-        abs_total = abs_total + np.abs(f).sum(axis=1)
+        if 2 * n > lo + g.shape[1]:
+            f = rows(_ladder_nodes(2 * n)[n:])
+            g, lo = np.concatenate([f, np.abs(f)]), n
+        sums = sums + g[:, n - lo:2 * n - lo].sum(axis=1)
         n, h = 2 * n, 0.5 * h
-        fine = total * h
+        fine = sums[:m] * h
         err = float(np.max(np.abs(fine - est)))
         est = fine
-        ok = err <= max(tol, _ROUNDOFF * float(np.max(abs_total)) * h)
+        ok = err <= max(tol, _ROUNDOFF * float(np.max(sums[m:])) * h)
         if ok or n >= _N_MAX:
             return est, err, ok
 

@@ -15,6 +15,10 @@ used before jumping by the error model; both must stop at the same count.
 The third, at theta = 0 (helicoid, CMC source and conjugate), is closed
 form: Jacobi elliptic functions from scipy.special.
 
+The period rule has one reference of that other kind: its ladder as it
+ran before the shared node table, forming each level's nodes itself; the
+library must return the same bits.
+
 The mesh data plane has per-element oracles: OBJ and PLY writers and
 readers that handle one line or one face at a time, edge lists from
 `np.unique(axis=0)` over sorted index pairs, and the face list of the
@@ -31,6 +35,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import ellipj, ellipk
 
 from nilcat.errors import ResolutionError
+from nilcat.period import _N_MAX, _N_START, _ROUNDOFF
 from nilcat.profile import MAX_NODES, START_NODES, TOL, Profile, _GL_W, _GL_X
 
 
@@ -160,6 +165,29 @@ def I_split(alpha, theta, n=10 ** 6):
     """The three asymptotic integrals, by direct Simpson in t."""
     return tuple(simpson(f, -np.pi / 2, np.pi / 2, n)
                  for f in _I_integrands(alpha, theta))
+
+
+def periodic_trapezoid(rows, tol):
+    """The period rule's ladder as the library ran it before its node
+    table: each level forms its own nodes with np.cos, calls rows on them
+    alone and sums f and |f| separately.  The library must return
+    identical (integrals, error estimate, converged)."""
+    n = _N_START
+    h = math.pi / n
+    f = rows(np.cos(np.arange(n) * h) ** 2)
+    total, abs_total = f.sum(axis=1), np.abs(f).sum(axis=1)
+    est = total * h
+    while True:
+        f = rows(np.cos((np.arange(n) + 0.5) * h) ** 2)
+        total = total + f.sum(axis=1)
+        abs_total = abs_total + np.abs(f).sum(axis=1)
+        n, h = 2 * n, 0.5 * h
+        fine = total * h
+        err = float(np.max(np.abs(fine - est)))
+        est = fine
+        ok = err <= max(tol, _ROUNDOFF * float(np.max(abs_total)) * h)
+        if ok or n >= _N_MAX:
+            return est, err, ok
 
 
 def fd1_5pt(f, x, h):

@@ -280,6 +280,17 @@ class TestPly:
         with pytest.raises(DomainError):
             read_ply(tmp_path / "m.ply")
 
+    def test_int32_index_overflow_rejected(self, tmp_path):
+        # PLY face indices are int32: past 2^31 - 1 vertices an index such
+        # as 2^31 + 5 would be written as -2147483643.  Broadcast views
+        # stand in for the 2^31 vertices, so nothing large is allocated.
+        mesh = object.__new__(Mesh)
+        mesh.vertices = np.broadcast_to(np.zeros(3), (2 ** 31 + 6, 3))
+        mesh.faces = np.broadcast_to(np.array([0, 1, 2 ** 31 + 5]), (1, 3))
+        with pytest.raises(DomainError, match="int32"):
+            write_ply(mesh, tmp_path / "m.ply")
+        assert list(tmp_path.iterdir()) == []
+
     def test_vertex_count_preserved_across_formats(self, tmp_path):
         m = torus_like()
         write_mesh(m, "obj", tmp_path / "m.obj")

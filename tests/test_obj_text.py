@@ -221,11 +221,13 @@ def test_fallback_is_rare(tmp_path, monkeypatch, alpha):
 
 def test_package_import_leaves_objtext_out():
     # only OBJ I/O compiles the conversion module (see its docstring)
+    import os
     import subprocess
     import sys
     code = ("import sys, nilcat, nilcat.cli; "
             "assert 'nilcat.objtext' not in sys.modules; "
             "nilcat.cli.main(['solve-period', '--alpha', '1.5']); "
             "assert 'nilcat.objtext' not in sys.modules")
+    src = os.path.dirname(os.path.dirname(objtext.__file__))
     subprocess.run([sys.executable, "-c", code], check=True,
-                   capture_output=True)
+                   capture_output=True, env=dict(os.environ, PYTHONPATH=src))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -179,6 +180,124 @@ class TestAppendixDecomposition:
         d = appendix_I_decomposition(alpha, find_theta_tilde(alpha))
         assert d.I1 <= K / alpha ** 2
         assert d.I3 <= K / alpha ** 2
+
+
+def _packs():
+    """(alpha, theta) packs from theta = 0 to the admissibility boundary,
+    alpha log-spaced in [0.005, 1000].  At theta_plus = pi/2 (alpha > 1) a
+    gap under about 1e-8 rounds 1 + cos 2 theta to 0, so the top pack
+    there stays 1e-7 inside."""
+    packs = []
+    for alpha in np.geomspace(0.005, 1000.0, 40):
+        tp = AnnulusParams(alpha, 0.0).theta_plus
+        top = tp - (1e-9 if alpha <= 1 else 1e-7)
+        packs += [(alpha, f * tp) for f in (0.0, 0.3, 0.6, 0.9)]
+        packs += [(alpha, tp - 1e-5), (alpha, top)]
+    return packs + [(0.7, AnnulusParams(0.7, 0.0).theta_plus - 1e-6)]
+
+
+def _bits(result):
+    integrals, err, ok = result
+    return integrals.shape, integrals.tobytes(), err.hex(), ok
+
+
+class TestLadder:
+    """The period rule on its shared node table returns what the ladder
+    without it returned (`oracles.periodic_trapezoid`), bit for bit."""
+
+    def test_identical_to_oracle(self, monkeypatch):
+        real = period._periodic_trapezoid
+        seen, sizes = [], []
+
+        def both(rows, tol):
+            def counted(x2):
+                sizes.append(len(x2))
+                return rows(x2)
+
+            new = real(rows, tol)
+            seen.append((_bits(new),
+                         _bits(oracles.periodic_trapezoid(counted, tol))))
+            return new
+
+        monkeypatch.setattr(period, "_periodic_trapezoid", both)
+        packs = _packs()
+        assert len(packs) >= 200
+        for alpha, theta in packs:
+            params = AnnulusParams(alpha, theta)
+            L_integral(params)
+            L_integral(params, split=True)
+            appendix_I_decomposition(alpha, theta)
+        assert len(seen) == 3 * len(packs)
+        assert all(new == old for new, old in seen)
+        # ladders reach 2^12 nodes and more, and the last pack (alpha 0.7
+        # at theta_plus - 1e-6) stops unconverged at the 2^16 cap
+        assert 2 * max(sizes) == period._N_MAX
+        assert [new[3] for new, _ in seen[-3:]] == [False] * 3
+
+    def test_root_identical_to_oracle_driven_root(self, monkeypatch):
+        alphas = np.geomspace(0.005, 1000.0, 100)
+        roots = [find_theta_tilde(a) for a in alphas]
+        monkeypatch.setattr(period, "_periodic_trapezoid",
+                            oracles.periodic_trapezoid)
+        assert [r.hex() for r in roots] \
+            == [find_theta_tilde(a).hex() for a in alphas]
+
+
+class TestNodeTable:
+    def test_levels_are_the_ladders_nodes(self, monkeypatch):
+        monkeypatch.setattr(period, "_X2", np.empty(0))
+        x2 = period._ladder_nodes(period._N_MAX)
+        n = period._N_START
+        h = math.pi / n
+        assert x2[:n].tobytes() == (np.cos(np.arange(n) * h) ** 2).tobytes()
+        while n < period._N_MAX:
+            mid = np.cos((np.arange(n) + 0.5) * h) ** 2
+            assert x2[n:2 * n].tobytes() == mid.tobytes(), n
+            n, h = 2 * n, 0.5 * h
+        assert len(x2) == period._N_MAX
+
+    def test_grows_lazily_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(period, "_X2", np.empty(0))
+        L_integral(AnnulusParams(1.0, 0.3))
+        assert len(period._X2) == period._N_FIRST
+        for alpha in np.geomspace(0.2, 100.0, 200):
+            appendix_I_decomposition(alpha, find_theta_tilde(alpha))
+        assert len(period._X2) == 256
+        for alpha in np.geomspace(0.005, 1000.0, 200):
+            find_theta_tilde(alpha)
+        assert len(period._X2) == 8192
+        r = L_integral(AnnulusParams(0.7, AnnulusParams(0.7, 0.0).theta_plus
+                                     - 1e-6))
+        assert not r.converged
+        assert len(period._X2) == period._N_MAX
+        table = period._X2
+        period._ladder_nodes(period._N_MAX)
+        assert period._X2 is table
+
+    def test_threads_racing_to_grow_it(self, monkeypatch):
+        alphas = np.geomspace(0.005, 1000.0, 32)
+        want = [find_theta_tilde(a).hex() for a in alphas]
+        monkeypatch.setattr(period, "_X2", np.empty(0))
+        got = {}
+
+        def work(i):
+            got[i] = [find_theta_tilde(a).hex() for a in alphas[i::4]]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [got[i] for i in range(4)] == [want[i::4] for i in range(4)]
+        table = period._X2
+        monkeypatch.setattr(period, "_X2", np.empty(0))
+        assert table.tobytes() == period._ladder_nodes(len(table)).tobytes()
 
 
 class TestSolvePeriodCommand:

@@ -1,13 +1,16 @@
 """Source guard: one 5-point stencil, one root finder, one sweep path, one
-edge counter, one OBJ number conversion, and a numpy-only run time.
+edge counter, one OBJ number conversion, one period-rule node path, and a
+numpy-only run time.
 
 Each derivative stencil lives in `nil3.stencil5`, roots are refined by
 `roots.brentq`, alpha sweeps run as plain loops, mesh edges are counted by
 one sort in `meshes._edge_uses`, OBJ numbers go through the whole-array
-conversion of `objtext`, and nothing in `src/nilcat` imports scipy.  These
+conversion of `objtext`, the period rule's nodes come from the table of
+`period._ladder_nodes`, and nothing in `src/nilcat` imports scipy.  These
 scans fail if a copy of the stencil denominator, a second Brent routine, a
 hand-rolled bisection loop, a thread pool, an `np.unique` in the mesh
-module, a second OBJ conversion path or a scipy import comes back.
+module, a second OBJ conversion path, a second node path or a scipy import
+comes back.
 """
 
 import ast
@@ -119,4 +122,22 @@ def test_one_obj_number_conversion():
                 and ("%.17g" in node.value and node.value != "%.17g"
                      or "%d %d" in node.value):
             hits.append((node.lineno, node.value))
+    assert hits == []
+
+
+def test_one_period_node_path():
+    """The period rule's nodes are prefixes of one table, each level formed
+    once per process by `period._ladder_nodes`; before the table every
+    ladder formed its nodes again with np.cos at every doubling.  np.cos
+    (or np.sin) anywhere else in `period.py` would be a second node path."""
+    tree = ast.parse(_sources()["period.py"])
+    table = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                 and n.name == "_ladder_nodes")
+    inside = {id(n) for n in ast.walk(table)}
+    hits = [node.lineno for node in ast.walk(tree)
+            if id(node) not in inside and (
+                isinstance(node, ast.Attribute) and node.attr in ("cos", "sin")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+                or isinstance(node, ast.alias) and node.name in ("cos", "sin"))]
     assert hits == []
