@@ -35,6 +35,7 @@ from .verify import run_verification
 
 COMMANDS = ("solve-period", "mesh-catenoid", "mesh-helicoid", "mesh-cmc",
             "section", "limit-study", "verify")
+MAX_SWEEP = 100_000  # alphas in one --alpha-sweep, checked before allocating
 
 
 class UsageError(ValueError):
@@ -86,18 +87,25 @@ def _parse_span(text):
     parts = text.split(":")
     if len(parts) != 2:
         raise UsageError(f"expected lo:hi, got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    try:
+        return (float(parts[0]), float(parts[1]))
+    except ValueError:
+        raise UsageError(f"expected numbers lo:hi, got {text!r}") from None
 
 
 def _parse_sweep(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"expected a:b:n, got {text!r}")
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise UsageError(f"expected numbers a:b:n with an integer n, "
+                         f"got {text!r}") from None
     if not (math.isfinite(a) and math.isfinite(b)):
         raise UsageError("sweep ends must be finite")
-    if n < 1:
-        raise UsageError("sweep count must be positive")
+    if not 1 <= n <= MAX_SWEEP:
+        raise UsageError(f"sweep count must lie in [1, {MAX_SWEEP}]")
     return list(np.linspace(a, b, n))
 
 
@@ -201,7 +209,9 @@ def build_parser():
                     "construction, verification, mesh export.")
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alpha-sweep", type=str, default=None, metavar="A:B:N")
+    p.add_argument("--alpha-sweep", type=str, default=None, metavar="A:B:N",
+                   help=f"N alphas evenly spaced from A to B, N at most "
+                        f"{MAX_SWEEP}")
     p.add_argument("--tol", type=float, default=1e-11)
     p.add_argument("--nu", type=int, default=64)
     p.add_argument("--nv", type=int, default=64)

@@ -83,12 +83,14 @@ class AnnulusParams:
         if self.alpha <= 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         a, t = float(self.alpha), float(self.theta)
-        c2t = math.cos(2.0 * t)
-        object.__setattr__(self, "C", math.sin(2.0 * t) / (2.0 * a))
+        s2t = math.sin(2.0 * t)
+        object.__setattr__(self, "C", s2t / (2.0 * a))
         object.__setattr__(self, "theta_plus", theta_plus(a))
-        if math.sin(2.0 * t) != 0.0:
-            object.__setattr__(self, "rho_minus", 2.0 * a * a / (1.0 - c2t))
-            object.__setattr__(self, "rho_plus", 2.0 * a * a / (1.0 + c2t))
+        if s2t != 0.0:
+            # 2 a^2 / (1 -+ cos 2 theta), without the cancellation that
+            # rounds 1 + cos 2 theta to 0 within 1e-8 of theta = pi/2
+            object.__setattr__(self, "rho_minus", a * a / math.sin(t) ** 2)
+            object.__setattr__(self, "rho_plus", a * a / math.cos(t) ** 2)
         else:
             object.__setattr__(self, "rho_minus", None)
             object.__setattr__(self, "rho_plus", None)

@@ -141,10 +141,31 @@ class TestCommands:
         ["section", "--section-c", "nan"],
         ["section", "--section-c", "-inf"],
         ["section", "--samples", "3"],
+        ["solve-period", "--alpha-sweep", "1:2:x"],
+        ["solve-period", "--alpha-sweep", "1:2:2.5"],
+        ["section", "--v-range", "a:b"],
     ])
     def test_bad_numbers_exit_2(self, argv, capsys):
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_sweep_count_capped_before_allocating(self, monkeypatch, capsys):
+        # 10^11 alphas would ask np.linspace for 745 GiB
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("np.linspace reached")
+
+        monkeypatch.setattr(cli_mod.np, "linspace", no_linspace)
+        for n in (cli_mod.MAX_SWEEP + 1, 10 ** 11):
+            assert run_cli("solve-period", "--alpha-sweep", f"1:2:{n}") == 2
+            assert capsys.readouterr().err.startswith("usage error:")
+        monkeypatch.undo()
+        assert len(cli_mod._parse_sweep(f"1:2:{cli_mod.MAX_SWEEP}")) \
+            == cli_mod.MAX_SWEEP
+
+    def test_sweep_cap_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_mod.main(["--help"])
+        assert str(cli_mod.MAX_SWEEP) in capsys.readouterr().out
 
     def test_one_theta_solve_per_alpha(self, tmp_path, monkeypatch):
         calls = []

@@ -184,15 +184,12 @@ class TestAppendixDecomposition:
 
 def _packs():
     """(alpha, theta) packs from theta = 0 to the admissibility boundary,
-    alpha log-spaced in [0.005, 1000].  At theta_plus = pi/2 (alpha > 1) a
-    gap under about 1e-8 rounds 1 + cos 2 theta to 0, so the top pack
-    there stays 1e-7 inside."""
+    alpha log-spaced in [0.005, 1000]; the top pack is 1e-9 inside."""
     packs = []
     for alpha in np.geomspace(0.005, 1000.0, 40):
         tp = AnnulusParams(alpha, 0.0).theta_plus
-        top = tp - (1e-9 if alpha <= 1 else 1e-7)
         packs += [(alpha, f * tp) for f in (0.0, 0.3, 0.6, 0.9)]
-        packs += [(alpha, tp - 1e-5), (alpha, top)]
+        packs += [(alpha, tp - 1e-5), (alpha, tp - 1e-9)]
     return packs + [(0.7, AnnulusParams(0.7, 0.0).theta_plus - 1e-6)]
 
 

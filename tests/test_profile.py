@@ -15,6 +15,7 @@ from nilcat import (
     solve_profile,
     theta_plus,
 )
+from nilcat.period import L_integral
 from nilcat.profile import TOL, Profile
 
 # Oracle fixture: 200-step bisection on a 1e6-point midpoint-Riemann period
@@ -80,6 +81,20 @@ class TestAnnulusParams:
             p.alpha ** 2, rel=1e-12)
         assert p.C ** 2 * (p.rho_minus - p.rho_plus) == pytest.approx(
             math.cos(1.04), rel=1e-12)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-12])
+    def test_rho_next_to_theta_plus(self, gap):
+        # for alpha > 1, theta_plus = pi/2 and 1 + cos 2 theta rounds to 0
+        # within about 1e-8 of it; the pack is admissible and L finite
+        theta = math.pi / 2 - gap
+        p = AnnulusParams(2.0, theta)
+        assert p.in_omega
+        cos = math.pi / 2 - theta + 6.123233995736766e-17  # pi/2 - fl(pi/2)
+        assert p.rho_plus == pytest.approx(4.0 / cos ** 2, rel=1e-12)
+        assert p.rho_minus == pytest.approx(4.0, rel=1e-15)
+        L = L_integral(p)
+        assert L.converged and L.L == pytest.approx(0.8731525818926751,
+                                                    rel=1e-12)
 
     def test_rho_undefined_at_theta_zero(self):
         p = AnnulusParams(1.0, 0.0)

@@ -102,7 +102,9 @@ def _code_nodes(text):
 
 def test_one_obj_number_conversion():
     """OBJ numbers are written and read by the whole-array conversion in
-    `objtext`; '%.17g' formats only the rare number it leaves.  A record
+    `objtext`; '%.17g' formats only the rare number it leaves.  Both reader
+    paths (one separator scan for plain chunks, the general tokenizer for
+    the rest) hand their tokens to the same kernels.  A record
     template such as "v %.17g %.17g %.17g\\n", an `np.loadtxt` or the `re`
     module would be a second, per-number path through every record (the
     one the conversion replaced, about three quarters of a mesh-export
@@ -123,6 +125,20 @@ def test_one_obj_number_conversion():
                      or "%d %d" in node.value):
             hits.append((node.lineno, node.value))
     assert hits == []
+    # one number kernel behind both token paths: the digit folds and the
+    # rounding are called only from `_floats` and `_integers`, and those
+    # only from `_obj_records`, after either path has found the tokens
+    callers = {}
+    for fn in ast.parse(text["objtext.py"]).body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Name):
+                    callers.setdefault(node.func.id, []).append(fn.name)
+    assert callers["_floats"] == callers["_integers"] == ["_obj_records"]
+    assert sorted(callers["_fold8"]) == ["_floats", "_integers"]
+    assert callers["_nearest"] == ["_floats"]
+    assert {"_plain_bounds", "_general_bounds"} <= set(callers)
 
 
 def test_one_period_node_path():
