@@ -7,16 +7,16 @@ round-half-even of |x| 10^(16-k) from an exact 128-bit product of its
 53-bit significand and 5^(16-k), splits D into 4-digit groups and ANDs
 their ASCII into rows of '%.17g' templates, whose zero bytes are dropped
 at the end.  The reader finds the number tokens chunk by chunk: by one
-scan for separators where every line reads `key SP tok SP tok SP tok LF`,
-as all that the writer writes does, and by a general tokenizer
-elsewhere.  It folds each number's digits to an integer D and exponent E,
-and rounds D 10^E to the nearest double, ties to even, with an
-error-free float residual and, in close cases, the same exact products.
-The output is byte for byte that of '%.17g' % x and of float(token).
-Coordinates with 1e-11 <= |x| < 2^52, or 0, and tokens of at most 24
-bytes and 19 significant digits with |E| <= 27 take this path; the rest
-(subnormals, very large or small values, inf, nan, long or odd tokens)
-go one by one through '%.17g' % x and float(), which raises the
+scan for separators where every line reads `key SP tok SP tok SP tok LF`
+and no token holds '/' or '#', as all that the writer writes does, and
+by a general tokenizer elsewhere.  It folds each number's digits to an
+integer D and exponent E, and rounds D 10^E to the nearest double, ties
+to even, with an error-free float residual and, in close cases, the same
+exact products.  The output is byte for byte that of '%.17g' % x and of
+float(token).  Coordinates with 1e-11 <= |x| < 2^52, or 0, and tokens of
+at most 24 bytes and 19 significant digits with |E| <= 27 take this path;
+the rest (subnormals, very large or small values, inf, nan, long or odd
+tokens) go one by one through '%.17g' % x and float(), which raises the
 ValueError np.loadtxt raised.  On the side-100 catenoid, helicoid and CMC
 meshes at alpha 0.5 to 4 the per-number path takes no number.
 
@@ -229,6 +229,12 @@ def _int_text(v):
 
 def obj_bytes(vertices, faces) -> bytes:
     """The OBJ text of (n, 3) float64 vertices and 0-based int faces."""
+    # Each line's key rides in the row of the line before it, after the
+    # newline, so one uint32 word of an index row holds a line's end and
+    # the next line's start.  Rows that open with the key instead need one
+    # more word per index row: writing the side-100 catenoid took 5.9-6.3
+    # -> 6.4-6.6 ms, the faces 1.4 -> 1.8 ms (least of 60, 2-vCPU VM).
+    # Hence the first key is prepended here and the spare last one cut.
     parts = []
     for key, text, v in ((b"v ", _float_text, vertices.ravel()),
                          (b"f ", _int_text, (faces + 1).ravel())):
@@ -244,15 +250,15 @@ def obj_bytes(vertices, faces) -> bytes:
 # is that letter; its numbers are the next three tokens on the line, after
 # '#' starts a comment and, in `f` records, after the '/' of a corner
 # 'a/b/c' drops the rest of the token.  When every line of a chunk reads
-# `key SP tok SP tok SP tok LF`, as every line write_obj writes does, one
-# scan for the bytes <= 32 gives all token bounds: four separators a line
-# (Langdale & Lemire, VLDB J. 2019, find token bounds in one such pass).
-# Other chunks go through the general tokenizer.  Both hand the number
-# tokens to the same kernels.  A number token is read through an unaligned
-# uint64 view of the bytes as three words, word j in row j, its mantissa
-# digits right-aligned and folded eight at a time (Lemire, Softw. Pract.
-# Exp. 2021); the bytes of a class are counted and placed by multiplying
-# their 0/1 lanes with constants.
+# `key SP tok SP tok SP tok LF` and the chunk holds no '/' or '#', as all
+# that write_obj writes does, one scan for the bytes <= 32 gives all token
+# bounds: four separators a line (Langdale & Lemire, VLDB J. 2019, find
+# token bounds in one such pass).  Other chunks go through the general
+# tokenizer.  Both hand the number tokens to the same kernels.  A number
+# token is read through an unaligned uint64 view of the bytes as three
+# words, word j in row j, its mantissa digits right-aligned and folded
+# eight at a time (Lemire, Softw. Pract. Exp. 2021); the bytes of a class
+# are counted and placed by multiplying their 0/1 lanes with constants.
 
 _PAD = 24
 _NL = b"\n" * _PAD
@@ -279,11 +285,6 @@ _HIGH4, _SIX = np.uint64(0xF0F0F0F0F0F0F0F0), np.uint64(0x0606060606060606)
 _FOLD = (np.uint64(0x000000FF000000FF), np.uint64(0x000F424000000064),
          np.uint64(0x0000271000000001))
 _POW10F = 10.0 ** np.arange(28)
-
-
-def _lanes(mask):
-    """The (3, n) words of 0/1 lanes of a (3, 8 n) boolean byte mask."""
-    return mask.view(np.uint64)
 
 
 def _total(lanes):
@@ -395,19 +396,19 @@ def _floats(b, U, start, end):
     off = _PAD - np.minimum(size, _PAD)  # the token is window bytes off-23
     words = _window(U, end, off)
     M = words.view(np.uint8)
-    digit = _lanes((M - np.uint8(48)) < 10)
-    valid = _lanes(M == 46)  # the point, then every byte of a number
+    digit = ((M - np.uint8(48)) < 10).view(np.uint64)  # 0/1 byte lanes
+    valid = (M == 46).view(np.uint64)  # the point, then all of a number
     n_dot = _total(valid)
     dp = np.where(n_dot > 0, _place(valid), -1)  # where there is one
     valid += digit
-    sign = _lanes((M == 43) | (M == 45))
+    sign = ((M == 43) | (M == 45)).view(np.uint64)
     n_sign = _total(sign)
     valid += sign
     del sign
     e = (M | np.uint8(32)) == 101
     n_e = 0
     if e.any():  # few OBJ numbers have an exponent
-        e = _lanes(e)
+        e = e.view(np.uint64)
         n_e = _total(e)
         valid += e
     ok &= _total(valid) == _PAD - off  # nothing else
@@ -431,7 +432,8 @@ def _floats(b, U, start, end):
         # the mantissa's own last three words
         back = _PAD - ep[i]
         words[:, i] = sub = _window(U, end[i] - back, off[i] + back)
-        digit[:, i] = _lanes((sub.view(np.uint8) - np.uint8(48)) < 10)
+        digit[:, i] = ((sub.view(np.uint8) - np.uint8(48)) < 10) \
+            .view(np.uint64)
     ok &= (n_sign == signs) & (n_e <= 1) & (n_dot <= 1) & (dp < ep) \
         & (ep - off - lead - n_dot > 0)
     # the digits alone, the point read as a 0 digit
@@ -509,7 +511,11 @@ def _obj_records(text: bytes):
     """The (n, 3) vertices and 1-based (m, 3) face indices of whole lines,
     given between _PAD newlines on each side."""
     b = np.frombuffer(text, np.uint8)
-    bounds = _plain_bounds(b)
+    # a '/' (face corner) or '#' (comment) cuts a token short, which only
+    # the general tokenizer does, and a tab or CR would fail the plain scan
+    # (write_obj writes none of them; a search is 3 us per chunk)
+    plain = not any(c in text for c in (b"/", b"#", b"\t", b"\r"))
+    bounds = _plain_bounds(b) if plain else None
     if bounds is None:
         if b"\r" in text:  # a lone \r ends a line; \r\n is whitespace and \n
             b = b.copy()
