@@ -162,6 +162,28 @@ def _section_y(model: CatenoidModel, c: float, u):
     return y1, y3, (A - pv.beta) / a
 
 
+def _planar_curvature(d1, d2) -> np.ndarray:
+    """Signed curvature (x' y'' - y' x'') / |gamma'|^3 of the derivative
+    pairs d1 = (x', y') and d2 = (x'', y'').
+
+    Far out the derivatives are cosh-sized and their squares overflow, so
+    each point's derivatives are divided by a power of two 2^e near their
+    size, which is exact, and kappa(gamma / 2^e) = 2^e kappa(gamma) is
+    scaled back.  |gamma'|^3 is s2 sqrt(s2), not s2 ** 1.5: sqrt is
+    correctly rounded, so the scaling changes no bit.  Raises RangeError
+    where a curvature is not finite.
+    """
+    e = np.frexp(np.maximum(np.abs(d1[0]), np.abs(d1[1])))[1]
+    x1, y1, x2, y2 = (np.ldexp(d, -e) for d in (*d1, *d2))
+    s2 = x1 * x1 + y1 * y1
+    with np.errstate(all="ignore"):
+        curvature = np.ldexp((x1 * y2 - y1 * x2) / (s2 * np.sqrt(s2)), -e)
+    if not np.all(np.isfinite(curvature)):
+        raise RangeError("section curvature is not finite; the section "
+                         "reaches beyond the float range")
+    return curvature
+
+
 def section_curve(model: CatenoidModel, c: float, n: int = 1024) -> SectionCurve:
     """Sample the section curve over u in [-U, U] and report its geometry.
 
@@ -181,8 +203,7 @@ def section_curve(model: CatenoidModel, c: float, n: int = 1024) -> SectionCurve
     gap = math.hypot(y1[-1] - y1[0], y3[-1] - y3[0])
 
     d1, d2 = zip(stencil5(y1s, h), stencil5(y3s, h))
-    speed2 = d1[0] ** 2 + d1[1] ** 2
-    curvature = (d1[0] * d2[1] - d1[1] * d2[0]) / speed2 ** 1.5
+    curvature = _planar_curvature(d1, d2)
 
     ang = np.unwrap(np.arctan2(d1[1], d1[0]))
     turning = int(round((ang[-1] - ang[0]) / (2 * math.pi)))

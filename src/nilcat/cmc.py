@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ARG_MAX, DomainError, RangeError, ResolutionError
+from .helicoid import build_helicoid
 from .meshes import Mesh
 from .nil3 import STENCIL5, mean_curvature, stencil5
-from .profile import AnnulusParams, Profile, solve_profile
+from .profile import Profile, solve_profile
 from .roots import brentq, golden_min
 
 
@@ -261,10 +262,14 @@ CONJUGACY_TOL = 1e-8
 
 
 def build_cmc_annulus(alpha: float) -> CmcAnnulusModel:
-    """Solve both profiles and assert the conjugacy identities on a grid."""
+    """Solve both profiles and assert the conjugacy identities on a grid.
+
+    The theta = 0 profile is the helicoid's, built once per alpha by the
+    cached `build_helicoid`.
+    """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    profile = solve_profile(AnnulusParams(alpha, 0.0))
+    profile = build_helicoid(alpha).profile
     conj = conjugate_profile(math.sqrt(alpha ** 2 + 1.0))
     model = CmcAnnulusModel(profile, conj)
 

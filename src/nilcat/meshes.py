@@ -1,10 +1,9 @@
 """Triangle-mesh container, topology checks, and deterministic file output.
 
 Writers are atomic (temp file in the target directory, then rename) and
-fully deterministic: fixed float formatting, no timestamps, sorted JSON
-keys.  OBJ is ASCII with 17 significant digits; PLY is binary
-little-endian with float64 vertex coordinates, so a round trip through
-read_ply is bit-exact.
+fully deterministic: fixed float formatting, no timestamps.  OBJ is ASCII
+with 17 significant digits; PLY is binary little-endian with float64
+vertex coordinates, so a round trip through read_ply is bit-exact.
 
 OBJ numbers go through the exact whole-array conversion of `objtext`
 (byte for byte '%.17g' % x when written, float(token) when read).  The
@@ -14,17 +13,16 @@ read_ply accepts only the header write_ply writes and a body of exactly
 the declared size.
 
 Undirected edges are encoded as int64 keys lo * n_vertices + hi, whose
-order is the lexicographic order of the (lo, hi) pairs.  Edge counting is
-one sort of the keys plus a compare of each key with its neighbour: a plain
-`np.unique` in numpy 2 deduplicates integers through a hash table and then
-sorts its output anyway, which for the 59,400 keys of a side-100 catenoid
-took 6.4-7.8 ms against 0.52-0.56 ms for the sort alone (2-vCPU VM, numpy
-2.4).
+order is the lexicographic order of the (lo, hi) pairs.  The Euler
+characteristic counts edges with one sort of the keys plus a compare of
+each key with its neighbour: a plain `np.unique` in numpy 2 deduplicates
+integers through a hash table and then sorts its output anyway, which for
+the 59,400 keys of a side-100 catenoid took 6.4-7.8 ms against
+0.52-0.56 ms for the sort alone (2-vCPU VM, numpy 2.4).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from dataclasses import dataclass
@@ -61,37 +59,18 @@ class Mesh:
         return len(self.faces)
 
 
-def _edge_uses(mesh: Mesh):
-    """Sorted unique undirected edge keys and the face sides using each.
+def euler_characteristic(mesh: Mesh) -> int:
+    """V - E + F; 0 for an annulus with open boundary rings.
 
     Face side (a, b) has the int64 key lo * n_vertices + hi, lo < hi.  The
-    keys are sorted once; each run of equal keys is one edge, and its
-    length the number of face sides on it.
+    keys are sorted once; E is the number of runs of equal keys.
     """
     a = mesh.faces.T
     b = a[[1, 2, 0]]
     keys = (np.minimum(a, b) * mesh.n_vertices + np.maximum(a, b)).ravel()
     keys.sort()
-    starts = np.ones(len(keys) + 1, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
-    starts = np.flatnonzero(starts)
-    return keys[starts[:-1]], np.diff(starts)
-
-
-def undirected_edges(mesh: Mesh) -> np.ndarray:
-    """Unique undirected edges as a sorted (k, 2) array."""
-    lo, hi = np.divmod(_edge_uses(mesh)[0], mesh.n_vertices)
-    return np.stack([lo, hi], axis=1)
-
-
-def euler_characteristic(mesh: Mesh) -> int:
-    """V - E + F; 0 for an annulus with open boundary rings."""
-    return mesh.n_vertices - len(_edge_uses(mesh)[0]) + mesh.n_faces
-
-
-def boundary_edge_count(mesh: Mesh) -> int:
-    """Edges used by exactly one face."""
-    return int(np.count_nonzero(_edge_uses(mesh)[1] == 1))
+    edges = int(np.count_nonzero(keys[1:] != keys[:-1])) + (len(keys) > 0)
+    return mesh.n_vertices - edges + mesh.n_faces
 
 
 # -- atomic, deterministic writers -------------------------------------------
@@ -204,15 +183,6 @@ def csv_text(header, rows) -> str:
     for row in rows:
         lines.append(",".join(fmt(x) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path, header, rows):
-    _atomic_write_bytes(path, csv_text(header, rows).encode())
-
-
-def write_json(path, obj):
-    _atomic_write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True)
-                               + "\n").encode())
 
 
 def grid_mesh_faces(nu: int, nv: int, wrap_u: bool) -> np.ndarray:

@@ -18,8 +18,10 @@ constants U, beta(U) and G(U) are integrals of functions of cos^2 phi = x^2
 too, so the same rule gives them, in the pass that also evaluates the
 asymptotic integrals I1-I3.
 L is negative at theta = 0, increasing in theta, and tends to +infinity at
-the admissibility boundary, so the root is unique and a sign-checked
-bracket makes Brent's method safe.
+the admissibility boundary, so the root is unique.  Each pass also
+integrates the exact theta-derivative of L's integrand as one more row, so
+the root search is Newton's method, safeguarded by bisection on a bracket
+whose upper end is sign-checked before a step is clipped to it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from .errors import BracketError, DomainError, QuadratureError
 from .profile import AnnulusParams, theta_plus
-from .roots import brentq
 
 DEFAULT_QUAD_TOL = 1e-12
 DEFAULT_ROOT_TOL = 1e-11
@@ -45,6 +46,9 @@ _N_MAX = 1 << 16
 # |f| (pairwise summation plus the integrand's own rounding); two sums can
 # not be asked to agree more closely than that.
 _ROUNDOFF = 32 * np.finfo(float).eps
+# theta_tilde -> 0.8335 alpha as alpha -> 0, and 4 * 0.8335 / pi = 1.0612
+_NEWTON_START = 1.0612
+_NEWTON_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,7 @@ class PeriodIntegrals:
     L: float
     quadrature_error_estimate: float
     converged: bool
+    dL_dtheta: float | None = None
     L1: float | None = None
     L2: float | None = None
     I1: float | None = None
@@ -129,26 +134,36 @@ def _check_omega(params: AnnulusParams):
 
 def L_integral(params: AnnulusParams, tol: float = DEFAULT_QUAD_TOL,
                split: bool = False) -> PeriodIntegrals:
-    """Evaluate L(alpha, theta); optionally also the L1 + L2 split.
+    """Evaluate L(alpha, theta) and dL/dtheta; optionally the L1 + L2 split.
 
-    A quadrature that cannot reach tol is reported with converged=False and
-    the estimated error, never silently.
+    The slope integrates the exact theta-derivative of L's integrand
+    N / D in the same pass: with P = alpha^2 + c x^2 - C^2 x^4,
+    c = cos 2 theta and C = sin 2 theta / (2 alpha), c' = -2 sin 2 theta
+    and C' = c / alpha, and (N / D)' = (N' - (N / D) D') / D.  A quadrature
+    that cannot reach tol is reported with converged=False and the
+    estimated error, never silently.
     """
     _check_omega(params)
     a, C, c2t = params.alpha, params.C, params.cos2theta
+    # c' = -2 sin 2 theta = -4 alpha C and (C^2)' = 2 C c / alpha
+    dc, dC2 = -4.0 * a * C, 2.0 * C * c2t / a
 
     def rows(x2):
         sq, d, L = _sqrtP_denominator_L(params, x2)
+        dsq = (dc - dC2 * x2) * x2 / (2.0 * sq)
+        dN = (2.0 * a + sq) * dC2 * x2 - a * dc + C * C * x2 * dsq
+        dL = (dN - L * dsq * (a + 2.0 * sq)) / d
         if not split:
-            return L[None]
+            return np.stack([L, dL])
         L1 = -2.0 * a * C * C * (1.0 - x2) / d
         L2 = (2.0 * a * C * C - a * c2t + C * C * x2 * sq) / d
-        return np.stack([L, L1, L2])
+        return np.stack([L, dL, L1, L2])
 
     vals, err, ok = _periodic_trapezoid(rows, tol)
-    L1, L2 = (float(vals[1]), float(vals[2])) if split else (None, None)
+    L1, L2 = (float(vals[2]), float(vals[3])) if split else (None, None)
     return PeriodIntegrals(L=float(vals[0]), quadrature_error_estimate=err,
-                           converged=ok, L1=L1, L2=L2)
+                           converged=ok, dL_dtheta=float(vals[1]), L1=L1,
+                           L2=L2)
 
 
 def appendix_I_decomposition(alpha: float, theta: float,
@@ -200,50 +215,54 @@ def check_period_defect(defect: float) -> None:
 def find_theta_tilde(alpha: float, tol: float = DEFAULT_ROOT_TOL) -> float:
     """The unique theta in (0, min(theta_plus, pi/4)) where L vanishes.
 
-    Brent's method on a sign-checked bracket: guaranteed by monotonicity of
-    L in theta.  The upper end starts 1% of theta_plus inside the
-    admissibility boundary, where L stays cheap to resolve, and moves
-    closer only while L is not yet positive.  Every L value used must come
-    from a converged quadrature (else QuadratureError), and the returned
-    value satisfies |L(alpha, theta)| <= tol.
+    Newton's method on L with the slope from the same pass, started at
+    (pi/4) tanh(1.0612 alpha): theta_tilde / alpha -> 0.8335 as alpha -> 0
+    and theta_tilde -> pi/4 as alpha -> infinity.  L is increasing in
+    theta and negative at 0, so each iterate narrows the bracket [lo, hi]
+    around the root.  The upper end starts 1% of theta_plus inside the
+    admissibility boundary, where L stays cheap to resolve; a step past it
+    evaluates it first, and while L is not yet positive there it moves
+    closer to theta_plus.  A step that would leave the sign-checked
+    bracket bisects it instead.  Every L value used must come from a
+    converged quadrature (else QuadratureError), and theta is returned
+    only once |L(alpha, theta)| <= tol and the Newton step is below
+    1e-15 theta.
     """
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
     qtol = min(DEFAULT_QUAD_TOL, tol / 10.0)
-    seen = {}
 
-    def Lval(theta):
-        if theta in seen:
-            return seen[theta]
+    tp = theta_plus(alpha)
+    lo, gap = 0.0, 1e-2 * tp
+    hi, hi_checked = min(tp - gap, math.pi / 4), False
+    theta = min(math.pi / 4 * math.tanh(_NEWTON_START * alpha), hi)
+    for _ in range(_NEWTON_MAXITER):
         r = L_integral(AnnulusParams(alpha, theta), tol=qtol)
         if not r.converged:
             raise QuadratureError(
                 f"L quadrature did not converge at alpha={alpha}, "
                 f"theta={theta}: error estimate "
                 f"{r.quadrature_error_estimate:.3e} > {qtol:.1e}")
-        seen[theta] = r.L
-        return r.L
-
-    tp = theta_plus(alpha)
-    lo, gap = 0.0, 1e-2 * tp
-    flo = Lval(lo)
-    hi = min(tp - gap, math.pi / 4)
-    fhi = Lval(hi)
-    while flo < 0.0 and fhi <= 0.0 and gap > 1e-9:
-        lo, flo = hi, fhi
-        gap *= 0.1
-        hi = tp - gap
-        fhi = Lval(hi)
-    if not (flo < 0.0 < fhi):
-        raise BracketError(
-            f"L must change sign on [{lo}, {hi}] for alpha={alpha}; got "
-            f"L({lo})={flo}, L({hi})={fhi}")
-    root = brentq(Lval, lo, hi, xtol=1e-15, maxiter=200)
-    resid = Lval(root)
-    if abs(resid) > tol:
-        raise BracketError(
-            f"root search stalled: |L(alpha, theta)| = {abs(resid)} > {tol} "
-            f"at theta = {root}")
-    return root
+        if r.L > 0.0:
+            hi, hi_checked = theta, True
+        else:
+            lo = theta
+        step = -r.L / r.dL_dtheta if r.dL_dtheta > 0.0 else math.nan
+        if abs(r.L) <= tol and abs(step) <= 1e-15 * theta:
+            return theta
+        if lo == hi:
+            # L(hi) <= 0: the root lies closer to theta_plus
+            if gap <= 1e-9:
+                raise BracketError(
+                    f"L must change sign on [0, {hi}] for alpha={alpha}; "
+                    f"got L({hi})={r.L}")
+            gap *= 0.1
+            hi = tp - gap
+        theta += step
+        if not lo < theta < hi:
+            theta = 0.5 * (lo + hi) if hi_checked else hi
+    raise BracketError(
+        f"root search stalled: |L(alpha, theta)| = {abs(r.L)} at "
+        f"theta = {theta} after {_NEWTON_MAXITER} steps")

@@ -19,7 +19,6 @@ half-period U is an endpoint of the integration rather than a root.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -319,19 +318,6 @@ class Profile:
 
     def __call__(self, u) -> ProfileValues:
         return self.eval(u)
-
-    def to_csv(self, path, n: int | None = None):
-        """Dump node records (or n uniform-in-u samples) for external checks."""
-        if n is None:
-            u = self.u_nodes
-        else:
-            u = np.linspace(0.0, self.U, n)
-        v = self.eval(u)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["u", "phi", "phiprime", "beta", "G", "Gprime"])
-            for row in zip(u, v.phi, v.phiprime, v.beta, v.G, v.Gprime):
-                w.writerow([repr(float(x)) for x in row])
 
 
 def _quintic_hermite(u, y, d1, d2) -> np.ndarray:

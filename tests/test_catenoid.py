@@ -14,12 +14,14 @@ from nilcat.catenoid import (
     limit_deviation,
     mesh_catenoid,
     period_closure_residual,
+    _planar_curvature,
     remarkable_curves,
     section_curve,
     waist_extent,
 )
-from nilcat.meshes import euler_characteristic, boundary_edge_count
-from nilcat.nil3 import gauss_map_and_residuals, graph_pde_residual, mean_curvature_nil3, to_y
+from nilcat.meshes import euler_characteristic
+from nilcat.nil3 import (STENCIL5, gauss_map_and_residuals, graph_pde_residual,
+                         mean_curvature_nil3, stencil5, to_y)
 
 # Frozen from a direct evaluation sweep: waist extent at alpha = 100 is
 # C/alpha + O(1/alpha^4) ~ 5.0e-5 (see test_waist_extent_bounds).
@@ -137,6 +139,26 @@ class TestSections:
         y1b, y3b, _ = _section_y(cat1, 0.7, u + cat1.U)
         assert np.max(np.abs(y1b + y1a)) <= 1e-9
         assert np.max(np.abs(y3b + y3a)) <= 1e-9
+
+    def test_scaled_curvature_is_exact(self, cat1):
+        # the power-of-two scaling of _planar_curvature is exact: on alpha 1,
+        # c 0 it returns the unscaled formula's bits on the same derivatives
+        from nilcat.catenoid import _section_y
+        u = np.linspace(-cat1.U, cat1.U, 1024)
+        h = 1e-4 * max(1.0, cat1.U)
+        y1s, y3s, _ = _section_y(cat1, 0.0, np.add.outer(h * STENCIL5, u))
+        d1, d2 = zip(stencil5(y1s, h), stencil5(y3s, h))
+        s2 = d1[0] * d1[0] + d1[1] * d1[1]
+        plain = (d1[0] * d2[1] - d1[1] * d2[0]) / (s2 * np.sqrt(s2))
+        got = _planar_curvature(d1, d2)
+        assert got.tobytes() == plain.tobytes()
+        assert got.tobytes() == section_curve(cat1, 0.0).curvature.tobytes()
+
+    def test_curvature_not_finite_raises(self):
+        d1 = (np.array([1.0, np.inf]), np.array([1.0, 0.0]))
+        d2 = (np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(RangeError):
+            _planar_curvature(d1, d2)
 
     def test_section_resolution_guard(self, cat1):
         with pytest.raises(ResolutionError):
@@ -261,7 +283,7 @@ class TestMesh:
         assert mesh.n_vertices == 64 * 64
         assert euler_characteristic(mesh) == 0
         # two open boundary rings of nu edges each
-        assert boundary_edge_count(mesh) == 128
+        assert oracles.boundary_edge_count(mesh.faces) == 128
 
     def test_vertices_inside_projection_bound(self, cat1):
         mesh = mesh_catenoid(cat1, (-2.5, 2.5), 48, 32)

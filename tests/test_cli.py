@@ -118,6 +118,18 @@ class TestCommands:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert rows.shape == (256, 5)
 
+    def test_far_section_curvature_finite(self, tmp_path):
+        # the points there are about 1e162, and |gamma'|^2 overflowed to
+        # inf before the derivatives were scaled: every curvature was nan
+        out = tmp_path / "sec.csv"
+        assert run_cli("section", "--alpha", "10", "--section-c", "1.9",
+                       "--out", str(out)) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (1024, 5)
+        assert np.all(np.isfinite(rows))
+        assert np.max(np.abs(rows[:, 1:3])) > 1e150
+        assert np.all(rows[:, 4] > 0)
+
     def test_limit_study(self, tmp_path):
         out = tmp_path / "lim.csv"
         assert run_cli("limit-study", "--alpha-sweep", "10:100:2",

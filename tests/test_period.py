@@ -12,7 +12,7 @@ import pytest
 
 import nilcat.catenoid as cat_mod
 import oracles
-from nilcat import AnnulusParams, DomainError, QuadratureError
+from nilcat import AnnulusParams, BracketError, DomainError, QuadratureError
 from nilcat import cli, period
 from nilcat.period import L_integral, appendix_I_decomposition, find_theta_tilde
 from nilcat.profile import solve_profile
@@ -109,25 +109,117 @@ class TestFindThetaTilde:
             with pytest.raises(DomainError):
                 find_theta_tilde(alpha)
 
-    @pytest.mark.parametrize("good_calls", [0, 1, 2])
-    def test_unconverged_quadrature_raises(self, monkeypatch, good_calls):
-        # good_calls = 0, 1: a bracket value is unconverged; 2: a value
-        # inside the bracket, since brentq's bracket ends come from the cache
+    @pytest.mark.parametrize("bad_call", ["first", "middle", "final"])
+    def test_unconverged_quadrature_raises(self, monkeypatch, bad_call):
+        # alpha 1 takes four Newton passes; an unconverged first, middle or
+        # final pass raises at once, and no pass is made after it
         calls = []
 
-        def flaky(params, tol=period.DEFAULT_QUAD_TOL):
-            r = L_integral(params, tol=tol)
+        def counting(params, tol=period.DEFAULT_QUAD_TOL):
             calls.append(params.theta)
-            if len(calls) > good_calls:
+            return L_integral(params, tol=tol)
+
+        monkeypatch.setattr(period, "L_integral", counting)
+        root = find_theta_tilde(1.0)
+        passes = list(calls)
+        assert len(passes) == 4 and passes[-1] == root
+        bad = {"first": 0, "middle": 2, "final": 3}[bad_call]
+        calls.clear()
+
+        def flaky(params, tol=period.DEFAULT_QUAD_TOL):
+            r = counting(params, tol=tol)
+            if len(calls) > bad:
                 r = dataclasses.replace(r, converged=False)
             return r
 
         monkeypatch.setattr(period, "L_integral", flaky)
         with pytest.raises(QuadratureError):
             find_theta_tilde(1.0)
-        assert len(calls) == good_calls + 1
-        if good_calls == 2:
-            assert calls[0] < calls[2] < calls[1]
+        assert calls == passes[:bad + 1]
+
+    def test_no_sign_change_raises(self, monkeypatch):
+        # an integrand that stays negative up to theta_plus: the upper end
+        # moves toward theta_plus until 1e-9 from it, then BracketError
+        # (sqrt(P) = 1 keeps the slope row resolved there too)
+        thetas = []
+
+        def negative(params, x2):
+            thetas.append(params.theta)
+            one = np.ones_like(x2)
+            return one, one, -one
+
+        monkeypatch.setattr(period, "_sqrtP_denominator_L", negative)
+        with pytest.raises(BracketError):
+            find_theta_tilde(0.5)
+        tp = AnnulusParams(0.5, 0.0).theta_plus
+        assert tp - 1.01e-9 < max(thetas) < tp
+
+
+def _passes(monkeypatch, alpha):
+    """The number of L_integral passes find_theta_tilde makes at alpha."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return L_integral(*args, **kwargs)
+
+    monkeypatch.setattr(period, "L_integral", counting)
+    find_theta_tilde(alpha)
+    monkeypatch.undo()
+    return len(calls)
+
+
+# find_theta_tilde as Brent's method on a sign-checked bracket returned it
+# (xtol 1e-15), before the Newton search replaced it
+FROZEN_ROOTS = [
+    (0.005, 0.004167687091201713),
+    (0.05, 0.04161840021722965),
+    (0.2, 0.1641629346448327),
+    (0.5, 0.38495367935319685),
+    (1 / math.sqrt(2), 0.5040793472922025),
+    (1.0, 0.6157824788316721),
+    (3.0, 0.7645955373808805),
+    (30.0, 0.7851898300949256),
+    (1000.0, 0.7853979758974483),
+]
+
+
+class TestNewtonRoot:
+    @pytest.mark.parametrize("alpha", [0.005, 0.2, 1.0, 10.0, 1000.0])
+    def test_slope_matches_central_difference(self, alpha):
+        top = min(AnnulusParams(alpha, 0.0).theta_plus, math.pi / 4)
+        for theta in (0.1 * top, 0.5 * top, 0.9 * top):
+            got = L_integral(AnnulusParams(alpha, theta))
+            split = L_integral(AnnulusParams(alpha, theta), split=True)
+            assert got.converged and split.dL_dtheta == got.dL_dtheta
+            fd = oracles.fd1_5pt(
+                lambda t: L_integral(AnnulusParams(alpha, t)).L, theta,
+                1e-3 * theta)
+            assert abs(got.dL_dtheta - fd) <= 1e-7 * abs(fd)
+
+    def test_at_most_four_passes(self, monkeypatch):
+        # a work counter, not a timing: the start (pi/4) tanh(1.0612 alpha)
+        # and the exact slope leave Brent's 7.6 passes a root behind
+        alphas = list(np.geomspace(0.005, 1000.0, 100)) \
+            + [1 / math.sqrt(2), 1.0, 1.0 + 1e-9]
+        counts = [_passes(monkeypatch, a) for a in alphas]
+        assert max(counts) <= 4
+        assert sum(counts[:100]) <= 350
+
+    @pytest.mark.parametrize("alpha, frozen", FROZEN_ROOTS)
+    def test_root_near_frozen_brent_root(self, alpha, frozen):
+        root = find_theta_tilde(alpha)
+        r_new = L_integral(AnnulusParams(alpha, root))
+        assert r_new.converged and abs(r_new.L) <= period.DEFAULT_ROOT_TOL
+        if alpha > 0.01:
+            assert abs(root - frozen) <= 4 * math.ulp(frozen)
+        else:
+            # Brent stopped within its absolute xtol = 1e-15, about 1150
+            # ulp of theta there, and left |L| = 6.6e-14; Newton goes on
+            # until its step is below 1e-15 theta
+            r_old = L_integral(AnnulusParams(alpha, frozen))
+            assert abs(root - frozen) <= 1e-15
+            assert abs(r_new.L) <= 1e-2 * abs(r_old.L)
 
 
 class TestAppendixDecomposition:

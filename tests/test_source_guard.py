@@ -2,15 +2,16 @@
 edge counter, one OBJ number conversion, one period-rule node path, and a
 numpy-only run time.
 
-Each derivative stencil lives in `nil3.stencil5`, roots are refined by
-`roots.brentq`, alpha sweeps run as plain loops, mesh edges are counted by
-one sort in `meshes._edge_uses`, OBJ numbers go through the whole-array
-conversion of `objtext`, the period rule's nodes come from the table of
-`period._ladder_nodes`, and nothing in `src/nilcat` imports scipy.  These
-scans fail if a copy of the stencil denominator, a second Brent routine, a
-hand-rolled bisection loop, a thread pool, an `np.unique` in the mesh
-module, a second OBJ conversion path, a second node path or a scipy import
-comes back.
+Each derivative stencil lives in `nil3.stencil5`, bracketed roots are
+refined by `roots.brentq` (the period root by Newton through
+`period.L_integral`), alpha sweeps run as plain loops, mesh edges are
+counted by one sort in `meshes.euler_characteristic`, OBJ numbers go
+through the whole-array conversion of `objtext`, the period rule's nodes
+come from the table of `period._ladder_nodes`, and nothing in
+`src/nilcat` imports scipy.  These scans fail if a copy of the stencil
+denominator, a second Brent routine, a hand-rolled bisection loop, a
+thread pool, an `np.unique` in the mesh module, a second OBJ conversion
+path, a second node path or a scipy import comes back.
 """
 
 import ast
@@ -157,3 +158,28 @@ def test_one_period_node_path():
                 and node.value.id in ("np", "numpy")
                 or isinstance(node, ast.alias) and node.name in ("cos", "sin"))]
     assert hits == []
+
+
+def test_theta_root_passes_through_L_integral():
+    """`find_theta_tilde` is Newton's method on the exact slope, so
+    `period.py` needs no `brentq` (the helicoid and CMC code still use the
+    one in `roots`).  The search reaches the quadrature only through the
+    public `L_integral`, so a tracer wrapped around it counts every pass a
+    root makes."""
+    tree = ast.parse(_sources()["period.py"])
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "brentq" not in imported
+    fns = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def called(fn):
+        return {node.func.id for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)}
+
+    quadrature = {"_periodic_trapezoid", "_sqrtP_denominator_L",
+                  "_ladder_nodes"}
+    quadrature |= {name for name, fn in fns.items()
+                   if called(fn) & quadrature}
+    assert "L_integral" in quadrature
+    assert called(fns["find_theta_tilde"]) & quadrature == {"L_integral"}

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import nilcat.catenoid as cat_mod
+import nilcat.cmc as cmc_mod
+import nilcat.helicoid as heli_mod
 from nilcat import verify
 from nilcat.nil3 import ResidualReport
 from nilcat.period import L_integral, appendix_I_decomposition, \
     find_theta_tilde
-from nilcat.profile import AnnulusParams
+from nilcat.profile import AnnulusParams, solve_profile
 from nilcat.verify import run_verification
 
 
@@ -43,6 +45,27 @@ def test_one_theta_solve(monkeypatch):
     monkeypatch.setattr(cat_mod, "find_theta_tilde", counting)
     run_verification(2.0)
     assert calls == [2.0]
+
+
+def test_three_profile_builds(monkeypatch):
+    # the catenoid's at theta_tilde, the conjugate one, and one theta = 0
+    # profile that the helicoid and the CMC annulus share
+    builds = []
+
+    def counting(params):
+        builds.append((type(params).__name__,
+                       getattr(params, "theta", None)))
+        return solve_profile(params)
+
+    for mod in (cat_mod, cmc_mod, heli_mod):
+        monkeypatch.setattr(mod, "solve_profile", counting)
+    heli_mod.build_helicoid.cache_clear()
+    try:
+        run_verification(1.0)
+    finally:
+        heli_mod.build_helicoid.cache_clear()
+    assert len(builds) == 3
+    assert builds.count(("AnnulusParams", 0.0)) == 1
 
 
 def _period_report(alpha):
