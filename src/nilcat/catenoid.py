@@ -101,7 +101,7 @@ def build_catenoid(alpha: float, tol: float = 1e-11) -> CatenoidModel:
     """Solve the period problem at alpha and assemble the annulus model."""
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    theta = find_theta_tilde(alpha, tol=tol)
+    theta = find_theta_tilde(alpha, tol=tol).theta
     profile = solve_profile(AnnulusParams(alpha, theta))
     model = CatenoidModel(profile.params, profile)
     check_period_defect(model.period_defect)

@@ -3,8 +3,10 @@ the one-shot verification suite.
 
 One argument parser serves every command: a positional command name and
 one shared set of options, which may come before or after it.
-`solve-period` reports the full-period constants U, beta(U), G(U) and V
-from the period rule's one pass at the root; it builds no dense profile.
+`solve-period` reports the full-period constants U, beta(U), G(U) and V,
+and the asymptotic integrals I1-I3, from the period rule's pass that
+confirms the root (two passes per alpha in [0.01, 1000]); it builds no
+dense profile.
 
 Exit codes: 0 on success, 1 when a verification threshold fails, 2 on a
 usage error.  All artifacts are written atomically with deterministic
@@ -25,11 +27,10 @@ import numpy as np
 from .catenoid import build_catenoid, limit_deviation, mesh_catenoid, \
     section_curve, waist_extent
 from .cmc import build_cmc_annulus, reflect_and_mesh
-from .errors import NilcatError, QuadratureError
+from .errors import NilcatError
 from .helicoid import build_helicoid, mesh_helicoid
 from .meshes import _atomic_write_bytes, csv_text, write_mesh
-from .period import appendix_I_decomposition, check_period_defect, \
-    find_theta_tilde
+from .period import check_period_defect, find_theta_tilde
 from .profile import AnnulusParams
 from .verify import run_verification
 
@@ -117,21 +118,16 @@ def _emit(payload: str, out):
 
 
 def _period_record(alpha, tol):
-    theta = find_theta_tilde(alpha, tol=tol)
-    d = appendix_I_decomposition(alpha, theta)
-    if not d.converged:
-        raise QuadratureError(
-            f"period constants did not converge at alpha={alpha}: error "
-            f"estimate {d.quadrature_error_estimate:.3e}")
-    check_period_defect(abs(alpha * d.GU
-                            + AnnulusParams(alpha, theta).C * d.betaU))
+    r = find_theta_tilde(alpha, tol=tol)
+    check_period_defect(abs(alpha * r.GU
+                            + AnnulusParams(alpha, r.theta).C * r.betaU))
     return {
         "alpha": alpha,
-        "theta_tilde": theta,
-        "L_residual": d.L,
-        "I1": d.I1, "I2": d.I2, "I3": d.I3,
-        "U": d.U, "betaU": d.betaU, "GU": d.GU,
-        "V": -d.betaU / alpha,
+        "theta_tilde": r.theta,
+        "L_residual": r.L,
+        "I1": r.I1, "I2": r.I2, "I3": r.I3,
+        "U": r.U, "betaU": r.betaU, "GU": r.GU,
+        "V": -r.betaU / alpha,
     }
 
 

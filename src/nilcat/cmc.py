@@ -118,16 +118,6 @@ class CmcAnnulusModel:
         speed = -pv.phiprime
         return -speed / (self.alpha * self.alpha_star * (self.alpha + speed))
 
-    def f_printed(self, u):
-        """The literal printed quotient for f(u); used by verification only,
-        valid away from cos phi = 0."""
-        u = np.asarray(u, dtype=float)
-        phi = self.profile.eval(u).phi
-        phis = self.conjugate.eval(u).phi
-        c, cs = np.cos(phi), np.cos(phis)
-        return (self.alpha * cs - self.alpha_star * c) \
-            / (self.alpha * c * cs ** 2)
-
     def hstar(self, u, v):
         """Height h* = cos(phi) cosh(alpha v) / (alpha (phi' - alpha))."""
         u = np.asarray(u, dtype=float)

@@ -99,14 +99,6 @@ class AnnulusParams:
     def cos2theta(self) -> float:
         return math.cos(2.0 * self.theta)
 
-    def P_min(self) -> float:
-        """min of P over [-1, 1]; positive iff the parameters are admissible.
-
-        P' vanishes only at x = 0 and (when cos 2 theta > 0) at an interior
-        maximum, so the minimum sits at x = 0 or x = +-1.
-        """
-        return min(self.alpha ** 2, quartic_P(self, 1.0))
-
 
 def quartic_P(params: AnnulusParams, x):
     """The quartic P(x) = alpha^2 + cos(2 theta) x^2 - C^2 x^4."""

@@ -105,12 +105,20 @@ def _profile_checks(report, model):
         report.add(f"profile.identity.{name}", r, threshold=1e-8)
 
 
+def _resolved(result, residual):
+    """residual, or inf when the quadrature behind it did not converge:
+    values of an unconverged pass are unresolved, and checks on them fail."""
+    return residual if result.converged else math.inf
+
+
 def _period_checks(report, model):
     alpha, theta = model.alpha, model.theta_tilde
-    report.add("period.root_residual",
-               abs(L_integral(AnnulusParams(alpha, theta)).L), threshold=1e-10)
+    root = L_integral(AnnulusParams(alpha, theta))
+    report.add("period.root_residual", _resolved(root, abs(root.L)),
+               threshold=1e-10)
+    zero = L_integral(AnnulusParams(alpha, 0.0))
     _bool_check(report, "period.L_negative_at_theta_zero",
-                L_integral(AnnulusParams(alpha, 0.0)).L < 0)
+                zero.converged and zero.L < 0)
     hi = min(AnnulusParams(alpha, 0.0).theta_plus - 1e-6, math.pi / 4)
     rungs = [L_integral(AnnulusParams(alpha, t))
              for t in np.linspace(0.0, hi, 8)]
@@ -121,13 +129,8 @@ def _period_checks(report, model):
                 bool(np.all(np.diff([r.L for r in rungs])
                             > err[:-1] + err[1:])))
     d = appendix_I_decomposition(alpha, theta)
-
-    def resolved(residual):
-        # values of an unconverged pass are unresolved: checks on them fail
-        return residual if d.converged else math.inf
-
     report.add("period.I_split_identity",
-               resolved(abs(d.I1 - math.cos(2 * theta) * d.I2 + d.I3)),
+               _resolved(d, abs(d.I1 - math.cos(2 * theta) * d.I2 + d.I3)),
                threshold=1e-8)
     s = math.sqrt(alpha ** 2 + 1)
     _bool_check(report, "period.I2_lower_bound",
@@ -136,9 +139,9 @@ def _period_checks(report, model):
     # ties the constants solve-period reports to the profile meshes use
     prof = model.profile
     report.add("period.constants_match_profile",
-               resolved(max(abs(x - y) / max(1.0, abs(y)) for x, y in
-                            ((d.U, prof.U), (d.betaU, prof.betaU),
-                             (d.GU, prof.GU)))), threshold=1e-12)
+               _resolved(d, max(abs(x - y) / max(1.0, abs(y)) for x, y in
+                                ((d.U, prof.U), (d.betaU, prof.betaU),
+                                 (d.GU, prof.GU)))), threshold=1e-12)
 
 
 def _catenoid_checks(report, model):

@@ -190,6 +190,67 @@ def periodic_trapezoid(rows, tol):
             return est, err, ok
 
 
+def f_printed(model, u):
+    """The CMC lift coefficient f(u) as the literal printed quotient
+    (alpha cos phi* - alpha* cos phi) / (alpha cos phi cos^2 phi*), read
+    from the model's profile and conjugate profile; valid away from
+    cos phi = 0, where it cancels catastrophically."""
+    u = np.asarray(u, dtype=float)
+    c = np.cos(model.profile.eval(u).phi)
+    cs = np.cos(model.conjugate.eval(u).phi)
+    return (model.alpha * cs - model.alpha_star * c) \
+        / (model.alpha * c * cs ** 2)
+
+
+def appendix_rows(alpha, theta):
+    """The rows of the period pass that gave the constants before they
+    joined `L_integral`'s pass: L, I1, I2, I3, U, beta(U) and G(U), with
+    no slope row, in the library's own arithmetic."""
+    a = alpha
+    C = math.sin(2.0 * theta) / (2.0 * a)
+    c2t = math.cos(2.0 * theta)
+
+    def rows(x2):
+        sq = np.sqrt(a * a + c2t * x2 - C * C * x2 * x2)
+        d = sq * (a + sq)
+        C2x2 = C * C * x2
+        return np.stack([
+            (2.0 * a * C * C * x2 - a * c2t + C * C * x2 * sq) / d,
+            2.0 * a * a * C2x2 / d, a * a / d, a * C2x2 / (a + sq), 1.0 / sq,
+            C * x2 / sq, (C2x2 - c2t) / d])
+
+    return rows
+
+
+def ladder_levels(rows, tol):
+    """(integrals, number of node levels) of the period rule on rows."""
+    calls = []
+
+    def counted(x2):
+        calls.append(len(x2))
+        return rows(x2)
+
+    return periodic_trapezoid(counted, tol)[0], len(calls)
+
+
+def theta_start_coefficients(n=40, lo=0.01, hi=1000.0):
+    """Chebyshev coefficients of g(y) = theta_tilde(alpha) (1 + alpha) /
+    alpha in y = alpha / (1 + alpha) on [y(lo), y(hi)], interpolating at
+    the n first-kind Chebyshev points with the roots find_theta_tilde
+    returns there (numpy.polynomial's interpolation, which the library
+    does not use)."""
+    from nilcat.period import find_theta_tilde
+
+    ya, yb = lo / (1.0 + lo), hi / (1.0 + hi)
+
+    def g(s):
+        y = 0.5 * (ya + yb) + 0.5 * (yb - ya) * np.asarray(s)
+        return np.array([find_theta_tilde(v / (1.0 - v)).theta / v
+                         for v in y])
+
+    return np.polynomial.chebyshev.chebinterpolate(g, n - 1)
+
+
 def fd1_5pt(f, x, h):
     """5-point first derivative."""
     return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)

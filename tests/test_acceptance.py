@@ -90,7 +90,7 @@ def test_criterion_02_identity_suite(cat_models):
 def test_criterion_03_period_root():
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0, 5.0, 100.0):
-        tt = find_theta_tilde(alpha)
+        tt = find_theta_tilde(alpha).theta
         worst = max(worst, abs(L_integral(AnnulusParams(alpha, tt)).L))
     ok = worst <= 1e-10
     for alpha in (0.5, 1.0, 2.0, 5.0, 100.0):
@@ -100,7 +100,8 @@ def test_criterion_03_period_root():
         ladder = [L_integral(AnnulusParams(alpha, t)).L
                   for t in np.linspace(0.0, hi, 10)]
         ok = ok and bool(np.all(np.diff(ladder) > 0))
-    gaps = [math.pi / 4 - find_theta_tilde(a) for a in (5, 10, 20, 50, 100)]
+    gaps = [math.pi / 4 - find_theta_tilde(a).theta
+            for a in (5, 10, 20, 50, 100)]
     ok = ok and gaps[-1] <= 1e-3 and all(x > y for x, y in zip(gaps, gaps[1:]))
     report(3, "period root, sign structure, pi/4 limit", worst, 1e-10, ok)
 
@@ -109,7 +110,7 @@ def test_criterion_04_appendix_decomposition():
     worst = 0.0
     ok = True
     for alpha in (1.0, 10.0, 100.0):
-        tt = find_theta_tilde(alpha)
+        tt = find_theta_tilde(alpha).theta
         d = appendix_I_decomposition(alpha, tt)
         worst = max(worst, abs(d.I1 - math.cos(2 * tt) * d.I2 + d.I3))
         s = math.sqrt(alpha ** 2 + 1)

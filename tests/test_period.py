@@ -71,14 +71,14 @@ class TestFindThetaTilde:
     def test_alpha_one_matches_riemann_oracle(self):
         # fixture from oracles.theta_tilde_bisect(1.0): 200-step bisection on
         # a 1e6-point midpoint-Riemann evaluation of L
-        tt = find_theta_tilde(1.0)
+        tt = find_theta_tilde(1.0).theta
         assert tt == pytest.approx(THETA_TILDE_1, abs=1e-9)
         assert abs(L_integral(AnnulusParams(1.0, tt)).L) <= 1e-10
 
     @pytest.mark.parametrize(
         "alpha", [0.2, 0.35, 0.5, 1.0, 2.0, 4.0, 10.0, 30.0, 100.0])
     def test_root_residual(self, alpha):
-        tt = find_theta_tilde(alpha)
+        tt = find_theta_tilde(alpha).theta
         assert 0.0 < tt < min(AnnulusParams(alpha, 0.0).theta_plus, math.pi / 4)
         got = L_integral(AnnulusParams(alpha, tt))
         assert got.converged
@@ -88,13 +88,14 @@ class TestFindThetaTilde:
     def test_small_alpha_bracket(self):
         # theta_plus(0.5) = arccos(1/2)/2 = pi/6 bounds the root
         assert AnnulusParams(0.5, 0.0).theta_plus == pytest.approx(math.pi / 6)
-        assert 0.0 < find_theta_tilde(0.5) < math.pi / 6
+        assert 0.0 < find_theta_tilde(0.5).theta < math.pi / 6
 
     def test_large_alpha_limit(self):
-        assert abs(find_theta_tilde(100.0) - math.pi / 4) <= 1e-3
+        assert abs(find_theta_tilde(100.0).theta - math.pi / 4) <= 1e-3
 
     def test_distance_to_pi_quarter_decreasing(self):
-        gaps = [math.pi / 4 - find_theta_tilde(a) for a in (5, 10, 20, 50, 100)]
+        gaps = [math.pi / 4 - find_theta_tilde(a).theta
+            for a in (5, 10, 20, 50, 100)]
         assert all(g > 0 for g in gaps)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
@@ -109,32 +110,43 @@ class TestFindThetaTilde:
             with pytest.raises(DomainError):
                 find_theta_tilde(alpha)
 
-    @pytest.mark.parametrize("bad_call", ["first", "middle", "final"])
-    def test_unconverged_quadrature_raises(self, monkeypatch, bad_call):
-        # alpha 1 takes four Newton passes; an unconverged first, middle or
-        # final pass raises at once, and no pass is made after it
+    @pytest.mark.parametrize("alpha, bad", [
+        (0.005, 0), (0.005, 1), (0.005, 3), (1500.0, 2), (1.0, 0), (1.0, 1)],
+        ids=["first", "middle", "final", "constants", "table-first",
+             "table-final"])
+    def test_unconverged_quadrature_raises(self, monkeypatch, alpha, bad):
+        # alpha 0.005 lies below the start table: four Newton passes from
+        # (pi/4) tanh(1.0612 alpha), the last, after a step below 1e-8
+        # theta, with the constant rows.  At alpha 1500 the step before the
+        # confirming pass is larger, so the constants take a pass of their
+        # own at the root.  alpha 1 takes two passes from the table, the
+        # second with the constant rows.  An unconverged pass raises at
+        # once, and no pass is made after it
         calls = []
 
-        def counting(params, tol=period.DEFAULT_QUAD_TOL):
-            calls.append(params.theta)
-            return L_integral(params, tol=tol)
+        def counting(params, tol=period.DEFAULT_QUAD_TOL, constants=False):
+            calls.append((params.theta, constants))
+            return L_integral(params, tol=tol, constants=constants)
 
         monkeypatch.setattr(period, "L_integral", counting)
-        root = find_theta_tilde(1.0)
+        root = find_theta_tilde(alpha).theta
         passes = list(calls)
-        assert len(passes) == 4 and passes[-1] == root
-        bad = {"first": 0, "middle": 2, "final": 3}[bad_call]
+        assert [c for _, c in passes] == {
+            0.005: [False] * 3 + [True], 1500.0: [False, False, True],
+            1.0: [False, True]}[alpha]
+        assert passes[-1] == (root, True)
+        assert (passes[-2][0] == root) == (alpha == 1500.0)
         calls.clear()
 
-        def flaky(params, tol=period.DEFAULT_QUAD_TOL):
-            r = counting(params, tol=tol)
+        def flaky(params, tol=period.DEFAULT_QUAD_TOL, constants=False):
+            r = counting(params, tol=tol, constants=constants)
             if len(calls) > bad:
                 r = dataclasses.replace(r, converged=False)
             return r
 
         monkeypatch.setattr(period, "L_integral", flaky)
         with pytest.raises(QuadratureError):
-            find_theta_tilde(1.0)
+            find_theta_tilde(alpha)
         assert calls == passes[:bad + 1]
 
     def test_no_sign_change_raises(self, monkeypatch):
@@ -155,15 +167,21 @@ class TestFindThetaTilde:
         assert tp - 1.01e-9 < max(thetas) < tp
 
 
-def _passes(monkeypatch, alpha):
-    """The number of L_integral passes find_theta_tilde makes at alpha."""
+def _counted(monkeypatch):
+    """A list that collects the `constants` flag of every L_integral pass."""
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return L_integral(*args, **kwargs)
+    def counting(*args, constants=False, **kwargs):
+        calls.append(constants)
+        return L_integral(*args, constants=constants, **kwargs)
 
     monkeypatch.setattr(period, "L_integral", counting)
+    return calls
+
+
+def _passes(monkeypatch, alpha):
+    """The number of L_integral passes find_theta_tilde makes at alpha."""
+    calls = _counted(monkeypatch)
     find_theta_tilde(alpha)
     monkeypatch.undo()
     return len(calls)
@@ -208,7 +226,7 @@ class TestNewtonRoot:
 
     @pytest.mark.parametrize("alpha, frozen", FROZEN_ROOTS)
     def test_root_near_frozen_brent_root(self, alpha, frozen):
-        root = find_theta_tilde(alpha)
+        root = find_theta_tilde(alpha).theta
         r_new = L_integral(AnnulusParams(alpha, root))
         assert r_new.converged and abs(r_new.L) <= period.DEFAULT_ROOT_TOL
         if alpha > 0.01:
@@ -222,10 +240,127 @@ class TestNewtonRoot:
             assert abs(r_new.L) <= 1e-2 * abs(r_old.L)
 
 
+# roots and Newton pass counts off the start table as the search returned
+# them before the table, from the (pi/4) tanh(1.0612 alpha) start
+OFF_TABLE_ROOTS = [
+    (0.001, "0x1.b505eff695cc6p-11", 4),
+    (0.002, "0x1.b505980f7a023p-10", 4),
+    (0.00338, "0x1.7147e91b30e2ep-9", 4),
+    (0.005, "0x1.11222fc1b550dp-8", 4),
+    (0.0099, "0x1.0e630748fb7dfp-7", 3),
+    (1500.0, "0x1.921fb2786ee16p-1", 2),
+    (2e4, "0x1.921fb5403c06cp-1", 2),
+    (1e5, "0x1.921fb54419963p-1", 2),
+]
+
+
+class TestStartTable:
+    """The Newton start on [0.01, 1000] is a Chebyshev table, close enough
+    to the root that one step and the confirming pass find it; the
+    constants ride on that confirming pass.  Pass counts are work
+    counters, not timings."""
+
+    def test_start_error(self):
+        alphas = np.geomspace(0.01, 1000.0, 1000)
+        err = [abs(period._newton_start(a) / find_theta_tilde(a).theta - 1)
+               for a in alphas]
+        assert max(err) <= 1e-8
+
+    def test_coefficients_rebuild_from_roots(self):
+        got = oracles.theta_start_coefficients()
+        assert len(got) == len(period._START_COEFFS) == 40
+        assert np.max(np.abs(got - np.array(period._START_COEFFS))) <= 1e-12
+
+    def test_two_passes_per_root(self, monkeypatch):
+        calls = _counted(monkeypatch)
+        for alpha in np.geomspace(0.01, 1000.0, 200):
+            calls.clear()
+            find_theta_tilde(alpha)
+            assert calls == [False, True], alpha
+
+    def test_solve_period_two_passes_per_alpha(self, tmp_path, monkeypatch):
+        def no_decomposition(*args, **kwargs):
+            raise AssertionError("appendix_I_decomposition called")
+
+        monkeypatch.setattr(period, "appendix_I_decomposition",
+                            no_decomposition)
+        calls = _counted(monkeypatch)
+        assert cli.main(["solve-period", "--alpha-sweep", "0.2:100:12",
+                         "--format", "csv",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls == [False, True] * 12
+
+    @pytest.mark.parametrize("alpha, root, newton", OFF_TABLE_ROOTS)
+    def test_off_table_search_unchanged(self, monkeypatch, alpha, root,
+                                        newton):
+        # below 0.01 and above 1000 the roots are those from before the
+        # table, to the bit.  The constants ride on the last Newton pass or
+        # take one pass of their own at the root: no more passes than
+        # solve-period made with its separate appendix_I_decomposition pass
+        calls = _counted(monkeypatch)
+        r = find_theta_tilde(alpha)
+        assert r.theta.hex() == root
+        assert newton <= len(calls) <= newton + 1
+        assert calls == [False] * (len(calls) - 1) + [True]
+
+    @pytest.mark.parametrize("alpha", [0.00338, 0.0099, 0.5, 30.0, 1500.0])
+    def test_one_root_per_alpha(self, monkeypatch, capsys, alpha):
+        # solve-period reports the root the catenoid is built on
+        class Stop(Exception):
+            pass
+
+        thetas = []
+
+        def stop(params):
+            thetas.append(params.theta)
+            raise Stop
+
+        monkeypatch.setattr(cat_mod, "solve_profile", stop)
+        with pytest.raises(Stop):
+            cat_mod.build_catenoid(alpha)
+        assert cli.main(["solve-period", "--alpha", repr(alpha)]) == 0
+        assert json.loads(capsys.readouterr().out)["theta_tilde"] \
+            == thetas[0]
+
+    def test_folded_constants_equal_decomposition(self, monkeypatch):
+        # the constants of find_theta_tilde are appendix_I_decomposition's
+        # at the returned theta, bit for bit.  Against the pass without
+        # the slope row, which gave them before, they are identical where
+        # both ladders stop at the same level and agree to 1e-14 relative
+        # otherwise
+        real = period._periodic_trapezoid
+        seen = []
+
+        def recording(rows, tol):
+            seen.append((rows, tol))
+            return real(rows, tol)
+
+        monkeypatch.setattr(period, "_periodic_trapezoid", recording)
+        same = 0
+        alphas = np.geomspace(0.005, 2000.0, 80)
+        for alpha in alphas:
+            r = find_theta_tilde(alpha)
+            rows, tol = seen[-1]
+            assert r.converged
+            assert appendix_I_decomposition(alpha, r.theta) == r
+            got = [r.I1, r.I2, r.I3, r.U, r.betaU, r.GU]
+            _, level = oracles.ladder_levels(rows, tol)
+            (L, *old), old_level = oracles.ladder_levels(
+                oracles.appendix_rows(alpha, r.theta), tol)
+            if level == old_level:
+                same += 1
+                assert [r.L] + got == [float(L)] + [float(v) for v in old]
+            else:
+                assert abs(r.L - L) <= 1e-14
+                for mine, ref in zip(got, old):
+                    assert abs(mine - ref) <= 1e-14 * abs(ref)
+        assert same >= 0.9 * len(alphas)
+
+
 class TestAppendixDecomposition:
     def test_identity_at_root(self):
         alpha = 10.0
-        tt = find_theta_tilde(alpha)
+        tt = find_theta_tilde(alpha).theta
         d = appendix_I_decomposition(alpha, tt)
         assert abs(d.I1 - math.cos(2 * tt) * d.I2 + d.I3) <= 1e-8
 
@@ -244,7 +379,7 @@ class TestAppendixDecomposition:
 
     def test_I2_lower_bound(self):
         for alpha in (1.0, 10.0, 100.0):
-            tt = find_theta_tilde(alpha)
+            tt = find_theta_tilde(alpha).theta
             d = appendix_I_decomposition(alpha, tt)
             s = math.sqrt(alpha ** 2 + 1)
             assert d.I2 >= math.pi * alpha ** 2 / (s * (alpha + s))
@@ -254,7 +389,7 @@ class TestAppendixDecomposition:
     def test_period_constants_against_simpson_oracle(self, alpha):
         # the Simpson oracles sit on smooth periodic integrands too, so 1e4
         # intervals already reach roundoff
-        tt = find_theta_tilde(alpha)
+        tt = find_theta_tilde(alpha).theta
         d = appendix_I_decomposition(alpha, tt)
         assert d.converged
         for mine, oracle in ((d.U, oracles.u_period),
@@ -269,7 +404,7 @@ class TestAppendixDecomposition:
         # K = 1 has ample headroom
         K = 1.0
         alpha = 100.0
-        d = appendix_I_decomposition(alpha, find_theta_tilde(alpha))
+        d = appendix_I_decomposition(alpha, find_theta_tilde(alpha).theta)
         assert d.I1 <= K / alpha ** 2
         assert d.I3 <= K / alpha ** 2
 
@@ -325,11 +460,11 @@ class TestLadder:
 
     def test_root_identical_to_oracle_driven_root(self, monkeypatch):
         alphas = np.geomspace(0.005, 1000.0, 100)
-        roots = [find_theta_tilde(a) for a in alphas]
+        roots = [find_theta_tilde(a).theta for a in alphas]
         monkeypatch.setattr(period, "_periodic_trapezoid",
                             oracles.periodic_trapezoid)
         assert [r.hex() for r in roots] \
-            == [find_theta_tilde(a).hex() for a in alphas]
+            == [find_theta_tilde(a).theta.hex() for a in alphas]
 
 
 class TestNodeTable:
@@ -350,7 +485,7 @@ class TestNodeTable:
         L_integral(AnnulusParams(1.0, 0.3))
         assert len(period._X2) == period._N_FIRST
         for alpha in np.geomspace(0.2, 100.0, 200):
-            appendix_I_decomposition(alpha, find_theta_tilde(alpha))
+            appendix_I_decomposition(alpha, find_theta_tilde(alpha).theta)
         assert len(period._X2) == 256
         for alpha in np.geomspace(0.005, 1000.0, 200):
             find_theta_tilde(alpha)
@@ -365,12 +500,13 @@ class TestNodeTable:
 
     def test_threads_racing_to_grow_it(self, monkeypatch):
         alphas = np.geomspace(0.005, 1000.0, 32)
-        want = [find_theta_tilde(a).hex() for a in alphas]
+        want = [find_theta_tilde(a).theta.hex() for a in alphas]
         monkeypatch.setattr(period, "_X2", np.empty(0))
         got = {}
 
         def work(i):
-            got[i] = [find_theta_tilde(a).hex() for a in alphas[i::4]]
+            got[i] = [find_theta_tilde(a).theta.hex()
+                      for a in alphas[i::4]]
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -419,17 +555,23 @@ class TestSolvePeriodCommand:
         assert rec["V"] == -rec["betaU"] / 0.05
 
     def test_unconverged_pass_exits_1(self, monkeypatch, capsys):
-        def unconverged(*args, **kwargs):
-            return dataclasses.replace(
-                appendix_I_decomposition(*args, **kwargs), converged=False)
+        # the pass that carries the constants does not converge
+        def unconverged(params, tol=period.DEFAULT_QUAD_TOL,
+                        constants=False):
+            r = L_integral(params, tol=tol, constants=constants)
+            return dataclasses.replace(r, converged=not constants)
 
-        monkeypatch.setattr(cli, "appendix_I_decomposition", unconverged)
+        monkeypatch.setattr(period, "L_integral", unconverged)
         assert cli.main(["solve-period", "--alpha", "1"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_unsolved_theta_exits_1(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "find_theta_tilde",
-                            lambda alpha, tol: 0.5 * find_theta_tilde(alpha))
+        # a converged pass with its own constants, at half the root
+        def half_root(alpha, tol):
+            theta = 0.5 * find_theta_tilde(alpha, tol=tol).theta
+            return L_integral(AnnulusParams(alpha, theta), constants=True)
+
+        monkeypatch.setattr(cli, "find_theta_tilde", half_root)
         assert cli.main(["solve-period", "--alpha", "1"]) == 1
         assert "period identity defect" in capsys.readouterr().err
 

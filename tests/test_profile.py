@@ -71,7 +71,10 @@ class TestQuarticP:
             p = AnnulusParams(a, t)
             assert p.in_omega
             assert np.min(quartic_P(p, x)) > 0
-            assert p.P_min() > 0
+            # P' vanishes only at x = 0 and (when cos 2 theta > 0) at an
+            # interior maximum, so the minimum sits at x = 0 or x = +-1
+            ends = min(quartic_P(p, 0.0), quartic_P(p, 1.0))
+            assert 0 < ends <= np.min(quartic_P(p, x))
 
 
 class TestAnnulusParams:

@@ -183,3 +183,15 @@ def test_theta_root_passes_through_L_integral():
                    if called(fn) & quadrature}
     assert "L_integral" in quadrature
     assert called(fns["find_theta_tilde"]) & quadrature == {"L_integral"}
+
+
+
+def test_period_constants_from_the_root_pass():
+    """`solve-period` takes its constants from the pass that confirms the
+    root (the `PeriodIntegrals` `find_theta_tilde` returns), so `cli.py`
+    has no use for a separate `appendix_I_decomposition` pass.  The Newton
+    start is a Clenshaw sum over a literal table, with no
+    `numpy.polynomial` in `period.py`."""
+    sources = _sources()
+    assert "appendix_I_decomposition" not in sources["cli.py"]
+    assert "polynomial" not in sources["period.py"]

@@ -117,3 +117,16 @@ def test_unconverged_constants_fail_their_checks(monkeypatch):
     for name in ("period.I_split_identity", "period.I2_lower_bound",
                  "period.constants_match_profile"):
         assert entries[name]["pass"] is False, name
+
+
+def test_unconverged_L_fails_root_checks(monkeypatch):
+    # the root residual and the sign at theta = 0 come from L passes too;
+    # an unconverged pass leaves them unresolved, and they fail
+    def unconverged(params, *args, **kwargs):
+        return dataclasses.replace(L_integral(params, *args, **kwargs),
+                                   converged=False)
+
+    monkeypatch.setattr(verify, "L_integral", unconverged)
+    entries = _period_report(1.0).entries
+    for name in ("period.root_residual", "period.L_negative_at_theta_zero"):
+        assert entries[name]["pass"] is False, name
