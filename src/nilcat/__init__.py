@@ -7,7 +7,6 @@ from .catenoid import (
     build_catenoid,
     gauss_curvature_K,
     graph_patch,
-    immersion_point,
     limit_deviation,
     mesh_catenoid,
     period_closure_residual,
@@ -17,13 +16,9 @@ from .catenoid import (
 )
 from .cmc import (
     CmcAnnulusModel,
-    CmcFieldSample,
-    H2xRPoint,
-    annulus_point,
     build_cmc_annulus,
     conjugate_profile,
     halfplane_curve,
-    hstar_field,
     mean_curvature_h2xr,
     reflect_and_mesh,
 )
@@ -37,21 +32,19 @@ from .errors import (
     ResolutionError,
     TransversalityError,
 )
-from .helicoid import HelicoidModel, build_helicoid, helicoid_point, \
-    mesh_helicoid, ruling_residual
+from .helicoid import HelicoidModel, build_helicoid, mesh_helicoid, \
+    ruling_residual
 from .meshes import Mesh, euler_characteristic, read_obj, read_ply, \
     write_mesh
 from .nil3 import (
     GaussValue,
     GraphJet,
-    Nil3Point,
     ResidualReport,
     from_y,
     gauss_map,
     gauss_map_and_residuals,
     graph_pde_residual,
     mean_curvature_nil3,
-    metric_and_connection,
     to_y,
 )
 from .period import (
@@ -76,16 +69,13 @@ __all__ = [
     "BracketError",
     "CatenoidModel",
     "CmcAnnulusModel",
-    "CmcFieldSample",
     "DegeneracyError",
     "DomainError",
     "GaussValue",
     "GraphJet",
-    "H2xRPoint",
     "HelicoidModel",
     "L_integral",
     "Mesh",
-    "Nil3Point",
     "NilcatError",
     "PeriodIntegrals",
     "Profile",
@@ -95,7 +85,6 @@ __all__ = [
     "ResidualReport",
     "ResolutionError",
     "TransversalityError",
-    "annulus_point",
     "appendix_I_decomposition",
     "build_catenoid",
     "build_cmc_annulus",
@@ -110,16 +99,12 @@ __all__ = [
     "graph_patch",
     "graph_pde_residual",
     "halfplane_curve",
-    "helicoid_point",
-    "hstar_field",
     "identity_residuals",
-    "immersion_point",
     "limit_deviation",
     "mean_curvature_h2xr",
     "mean_curvature_nil3",
     "mesh_catenoid",
     "mesh_helicoid",
-    "metric_and_connection",
     "period_closure_residual",
     "quartic_P",
     "read_obj",

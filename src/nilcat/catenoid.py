@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ARG_MAX, DomainError, RangeError, ResolutionError
 from .meshes import Mesh, grid_mesh_faces
-from .nil3 import STENCIL5, Nil3Point, stencil5
+from .nil3 import STENCIL5, stencil5
 from .period import check_period_defect, find_theta_tilde
 from .profile import AnnulusParams, Profile, solve_profile
 
@@ -106,13 +106,6 @@ def build_catenoid(alpha: float, tol: float = 1e-11) -> CatenoidModel:
     model = CatenoidModel(profile.params, profile)
     check_period_defect(model.period_defect)
     return model
-
-
-def immersion_point(model: CatenoidModel, u: float, v: float):
-    """One sample as a Nil3Point together with the conformal factor."""
-    x = model.xyz(float(u), float(v))
-    lam = model.lambda_conf(float(u), float(v))
-    return Nil3Point(*(float(t) for t in x)), float(lam)
 
 
 def period_closure_residual(model: CatenoidModel, grid=None) -> float:

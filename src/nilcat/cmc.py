@@ -6,7 +6,7 @@ height and the hyperboloid lift of the horizontal component have closed
 forms:
 
     h* = cos(phi) cosh(alpha v) / (alpha (phi' - alpha)),
-    X1 = cosh(alpha v) sin(phi*) f(u),
+    X1 = cosh(alpha v) sin(phi*) f(u),  sin(phi*) = alpha sin(phi) / |phi'|,
     X2 = cosh(alpha v) sinh(alpha* v) (f + alpha*/alpha)
          - cosh(alpha* v) sinh(alpha v),
     X3 = cosh(alpha v) cosh(alpha* v) (f + alpha*/alpha)
@@ -17,6 +17,10 @@ which extends continuously to f = -1/(2 alpha alpha*) at cos phi = 0; the
 disk-model point is F* = (X1 + i X2)/(1 + X3) and the surface has constant
 mean curvature 1/2.  The piece u in [-U/2, U/2] is a graph; reflecting it
 across height zero closes the properly embedded annulus.
+
+The conjugacy identity |phi'| cos phi* = alpha* cos phi gives phi* in closed
+form from phi, so the model samples one profile.  `conjugate_profile`
+solves for phi* on its own; `verify` uses it to check the identities.
 """
 
 from __future__ import annotations
@@ -56,38 +60,12 @@ def conjugate_profile(alpha_star: float) -> Profile:
     return solve_profile(_ConjugateQuartic(float(alpha_star)))
 
 
-@dataclass(frozen=True)
-class H2xRPoint:
-    """Poincare-disk coordinate and height in the product H2 x R."""
-
-    disk: complex
-    height: float
-
-
-@dataclass(frozen=True)
-class CmcFieldSample:
-    """Pointwise field data of the CMC annulus at one (u, v)."""
-
-    hstar: float
-    H: complex
-    tau: float
-    lam: float
-    f: float
-    G1: float
-    G2: float
-    G3: float
-    X1: float
-    X2: float
-    X3: float
-    cosh_omega: float
-
-
 class CmcAnnulusModel:
-    """Assembled CMC 1/2 annulus; immutable, samplers pure and vectorized."""
+    """Assembled CMC 1/2 annulus on the theta = 0 profile; immutable,
+    samplers pure and vectorized."""
 
-    def __init__(self, profile: Profile, conjugate: Profile):
+    def __init__(self, profile: Profile):
         self.profile = profile
-        self.conjugate = conjugate
         self.alpha = profile.params.alpha
         self.alpha_star_sq = self.alpha ** 2 + 1.0
         self.alpha_star = math.sqrt(self.alpha_star_sq)
@@ -106,8 +84,8 @@ class CmcAnnulusModel:
         The printed quotient (alpha cos phi* - alpha* cos phi) /
         (alpha cos phi cos^2 phi*) cancels catastrophically near its
         removable singularities at cos phi = 0.  Substituting the conjugacy
-        identity cos phi* = alpha* cos phi / |phi'| (asserted independently
-        at build time) collapses it to
+        identity cos phi* = alpha* cos phi / |phi'| (checked against the
+        conjugate profile by `verify`) collapses it to
 
             f = -|phi'| / (alpha alpha* (alpha + |phi'|)),
 
@@ -170,36 +148,37 @@ class CmcAnnulusModel:
         b = f + alpha*/alpha - 1 = delta sin^2(phi)
             / ((alpha* + |phi'|) alpha* (alpha + |phi'|)),
         both evaluated without differencing (uses phi'^2 = alpha^2 +
-        cos^2 phi and alpha*^2 = alpha^2 + 1).
+        cos^2 phi and alpha*^2 = alpha^2 + 1).  With sin phi* = alpha sin phi
+        / |phi'| the first coordinate X1 = cosh(alpha v) sin(phi*) f is
+        -cosh(alpha v) sin phi / (alpha* (alpha + |phi'|)).
         """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         u, v = np.broadcast_arrays(u, v)
         self._check_v(v)
-        return self._hyperboloid_from(self.profile.eval(u),
-                                      self.conjugate.eval(u).phi, v)
+        return self._hyperboloid_from(self.profile.eval(u), v)
 
-    def _hyperboloid_from(self, pv, phis, v):
+    def _hyperboloid_from(self, pv, v):
         a, a_s = self.alpha, self.alpha_star
         speed = -pv.phiprime
         delta = 1.0 / (a_s + a)
         b = delta * np.sin(pv.phi) ** 2 \
             / ((a_s + speed) * a_s * (a + speed))
-        f = -speed / (a * a_s * (a + speed))
         cav = np.cosh(a * v)
-        X1 = cav * np.sin(phis) * f
+        X1 = -cav * np.sin(pv.phi) / (a_s * (a + speed))
         X2 = np.sinh(delta * v) + b * cav * np.sinh(a_s * v)
         X3 = np.cosh(delta * v) + b * cav * np.cosh(a_s * v)
         return np.stack([X1, X2, X3], axis=-1)
 
-    def hyperboloid_point_printed(self, u, v):
-        """The literal printed block for (X1, X2, X3); verification only."""
+    def hyperboloid_point_printed(self, conjugate: Profile, u, v):
+        """The literal printed block for (X1, X2, X3), with phi* from
+        `conjugate = conjugate_profile(alpha_star)`; verification only."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         u, v = np.broadcast_arrays(u, v)
         self._check_v(v)
         a, a_s = self.alpha, self.alpha_star
-        phis = self.conjugate.eval(u).phi
+        phis = conjugate.eval(u).phi
         f = self.f_of_u(u)
         cav, sav = np.cosh(a * v), np.sinh(a * v)
         casv, sasv = np.cosh(a_s * v), np.sinh(a_s * v)
@@ -225,14 +204,13 @@ class CmcAnnulusModel:
     def xyz(self, u, v) -> np.ndarray:
         """Product-space sampler (Re F*, Im F*, h*), shape (..., 3).
 
-        Evaluates each profile once for both the disk point and the height.
+        Evaluates the profile once for both the disk point and the height.
         """
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
                                    np.asarray(v, dtype=float))
         self._check_v(v)
         pv = self.profile.eval(u)
-        disk = self._disk_from(
-            self._hyperboloid_from(pv, self.conjugate.eval(u).phi, v))
+        disk = self._disk_from(self._hyperboloid_from(pv, v))
         h = self._hstar_from(pv, v)
         return np.stack([disk.real, disk.imag, h], axis=-1)
 
@@ -240,86 +218,36 @@ class CmcAnnulusModel:
         return self.xyz(u, v)
 
 
-def _assert_small(name, value, tol):
-    if value > tol:
-        raise DomainError(f"conjugacy identity {name} fails: {value:.3e} > "
-                          f"{tol:.1e}")
-
-
-# conjugacy identities hold to this on the build grid; the W-equation
-# residual, a squared finite difference, is judged at 1e-5
-CONJUGACY_TOL = 1e-8
+def w_equation_residual(W5, alpha: float, h: float) -> float:
+    """Largest residual of W'^2 = (W^2 - 1)(W^2 - alpha^2 - 1), with W
+    sampled on the 5-point stencil of step h along axis 0.  The terms grow
+    like W^4, so the residual is judged relative to them."""
+    Wp, _ = stencil5(W5, h)
+    Wv = W5[2]
+    rhs = (Wv ** 2 - 1) * (Wv ** 2 - alpha ** 2 - 1)
+    return float(np.max(np.abs(Wp ** 2 - rhs) / np.maximum(1.0, np.abs(rhs))))
 
 
 def build_cmc_annulus(alpha: float) -> CmcAnnulusModel:
-    """Solve both profiles and assert the conjugacy identities on a grid.
+    """Assemble the annulus on the theta = 0 profile, the helicoid's, built
+    once per alpha by the cached `build_helicoid`.
 
-    The theta = 0 profile is the helicoid's, built once per alpha by the
-    cached `build_helicoid`.
+    The build checks the one identity that needs no phi*: W = phi'/cos phi
+    solves the W equation (judged at 1e-5, as a squared finite difference),
+    away from cos phi = 0.  The identities that compare the profile with
+    its conjugate are `verify` checks.
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     profile = build_helicoid(alpha).profile
-    conj = conjugate_profile(math.sqrt(alpha ** 2 + 1.0))
-    model = CmcAnnulusModel(profile, conj)
-
-    _assert_small("U* = U", abs(profile.U - conj.U), 1e-9)
     u = np.linspace(-2 * profile.U, 2 * profile.U, 1001)
-    pv = profile.eval(u)
-    cv = conj.eval(u)
-    # cross-multiplied cosh-omega identity |phi'| cos phi* = alpha* cos phi
-    cw = np.abs(np.abs(pv.phiprime) * np.cos(cv.phi)
-                - model.alpha_star * np.cos(pv.phi))
-    _assert_small("cosh-omega", float(np.max(cw)), CONJUGACY_TOL)
-    # equality of the two sqrt(tau) expressions
-    st = np.abs(np.cos(pv.phi) / (alpha - pv.phiprime)
-                - np.cos(cv.phi) / (model.alpha_star - cv.phiprime))
-    _assert_small("tau = tau*", float(np.max(st)), CONJUGACY_TOL)
-    # both candidates solve W'^2 = (W^2 - 1)(W^2 - alpha^2 - 1); the terms
-    # grow like W^4 so the residual is judged relative to them
-    mask_u = u[np.abs(np.cos(pv.phi)) > 0.3]
+    u = u[np.abs(np.cos(profile.eval(u).phi)) > 0.3]
     h = 1e-5
-    u5 = np.add.outer(h * STENCIL5, mask_u)
-    pv5, phis5 = profile.eval(u5), conj.eval(u5).phi
-    for name, W5 in (("W=phi'/cos", pv5.phiprime / np.cos(pv5.phi)),
-                     ("W=a*/cos*", model.alpha_star / np.cos(phis5))):
-        Wp, _ = stencil5(W5, h)
-        Wv = W5[2]
-        rhs = (Wv ** 2 - 1) * (Wv ** 2 - alpha ** 2 - 1)
-        r = np.abs(Wp ** 2 - rhs) / np.maximum(1.0, np.abs(rhs))
-        _assert_small(name, float(np.max(r)), 1e-5)
-    return model
-
-
-def hstar_field(model: CmcAnnulusModel, u: float, v: float) -> CmcFieldSample:
-    """All pointwise fields at one parameter value."""
-    u = float(u)
-    v = float(v)
-    pv = model.profile.eval(u)
-    phis = model.conjugate.eval(u).phi
-    a, a_s = model.alpha, model.alpha_star
-    cs = float(np.cos(phis))
-    X = model.hyperboloid_point(u, v)
-    c = float(np.cos(pv.phi))
-    with np.errstate(divide="ignore"):
-        G1 = float(np.tan(phis))
-        G2 = math.sinh(a_s * v) / cs if cs != 0 else math.inf
-        G3 = math.cosh(a_s * v) / cs if cs != 0 else math.inf
-        cosh_omega = abs(float(pv.phiprime)) / abs(c) if c != 0 else math.inf
-    tau = float(model.tau(u))
-    H = complex(model.H_field(u, v))
-    return CmcFieldSample(
-        hstar=float(model.hstar(u, v)), H=H, tau=tau,
-        lam=tau + 4.0 * abs(H) ** 2, f=float(model.f_of_u(u)),
-        G1=G1, G2=G2, G3=G3,
-        X1=float(X[0]), X2=float(X[1]), X3=float(X[2]),
-        cosh_omega=cosh_omega)
-
-
-def annulus_point(model: CmcAnnulusModel, u: float, v: float) -> H2xRPoint:
-    """One point of the annulus in disk coordinates plus height."""
-    return H2xRPoint(disk=complex(model.disk_point(float(u), float(v))),
-                     height=float(model.hstar(float(u), float(v))))
+    pv5 = profile.eval(np.add.outer(h * STENCIL5, u))
+    r = w_equation_residual(pv5.phiprime / np.cos(pv5.phi), alpha, h)
+    if r > 1e-5:
+        raise DomainError(f"W equation fails for W=phi'/cos: {r:.3e} > 1e-05")
+    return CmcAnnulusModel(profile)
 
 
 # -- level curves at height zero ------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ARG_MAX, DomainError, RangeError, ResolutionError
 from .meshes import Mesh, grid_mesh_faces
-from .nil3 import Nil3Point, from_y
+from .nil3 import from_y
 from .profile import AnnulusParams, Profile, solve_profile
 from .roots import brentq
 
@@ -77,11 +77,6 @@ def build_helicoid(alpha: float) -> HelicoidModel:
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     return HelicoidModel(solve_profile(AnnulusParams(alpha, 0.0)))
-
-
-def helicoid_point(alpha: float, u: float, v: float) -> Nil3Point:
-    """One point of the helicoid of parameter alpha."""
-    return Nil3Point(*(float(t) for t in build_helicoid(alpha).xyz(u, v)))
 
 
 def ruling_residual(alpha: float, c: float, samples: int = 64,

@@ -31,29 +31,9 @@ from .errors import DegeneracyError, TransversalityError
 
 # -- points and coordinate changes ------------------------------------------
 
-@dataclass(frozen=True)
-class Nil3Point:
-    """A point in exponential coordinates (x1, x2, x3)."""
-
-    x1: float
-    x2: float
-    x3: float
-
-    def to_y(self) -> tuple[float, float, float]:
-        """Coordinates (y1, y2, y3) = (x1, x2, x3 + x1 x2 / 2); in a plane
-        y2 = const the pair (y1, y3) is Euclidean."""
-        return (self.x1, self.x2, self.x3 + 0.5 * self.x1 * self.x2)
-
-    @staticmethod
-    def from_y(y1: float, y2: float, y3: float) -> "Nil3Point":
-        return Nil3Point(y1, y2, y3 - 0.5 * y1 * y2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
-
 def to_y(points):
-    """Vectorized x -> y coordinate change on an (..., 3) array."""
+    """Coordinates (y1, y2, y3) = (x1, x2, x3 + x1 x2 / 2) of an (..., 3)
+    array of points; in a plane y2 = const the pair (y1, y3) is Euclidean."""
     p = np.asarray(points, dtype=float)
     out = p.copy()
     out[..., 2] += 0.5 * p[..., 0] * p[..., 1]
@@ -114,12 +94,6 @@ def nil3_christoffels(points) -> np.ndarray:
     G[..., 2, 1, 1] = a * b / 4.0
     G[..., 2, 1, 2] = G[..., 2, 2, 1] = -b / 4.0
     return G
-
-
-def metric_and_connection(point) -> tuple[np.ndarray, np.ndarray]:
-    """Metric matrix and Christoffel array at a single point."""
-    p = point.as_array() if isinstance(point, Nil3Point) else np.asarray(point)
-    return nil3_metric(p), nil3_christoffels(p)
 
 
 # -- finite-difference jets of samplers --------------------------------------

@@ -245,6 +245,9 @@ def _helicoid_checks(report, alpha):
 
 def _cmc_checks(report, alpha):
     m = cmc_mod.build_cmc_annulus(alpha)
+    # the conjugate profile, solved on its own, checks the conjugacy
+    # identities the model's closed forms rest on
+    conj = cmc_mod.conjugate_profile(m.alpha_star)
     # alpha_star = sqrt(s) with s = fl(alpha^2 + 1), and target recomputes s
     # bit for bit.  The rounded sqrt is off by at most eps/2 relative, which
     # squaring doubles, and the product rounds by eps/2 more: alpha_star^2 is
@@ -254,15 +257,30 @@ def _cmc_checks(report, alpha):
     report.add("cmc.alpha_star_defining_relation",
                abs(m.alpha_star ** 2 - target) / target,
                threshold=4 * sys.float_info.epsilon)
-    report.add("cmc.half_period_match", abs(m.U - m.conjugate.U),
-               threshold=1e-9)
+    report.add("cmc.half_period_match", abs(m.U - conj.U), threshold=1e-9)
     u = np.linspace(-2 * m.U, 2 * m.U, 1000)
     pv = m.profile.eval(u)
-    phis = m.conjugate.eval(u).phi
+    phis = conj.eval(u).phi
     report.add("cmc.cosh_omega_identity",
                float(np.max(np.abs(np.abs(pv.phiprime) * np.cos(phis)
                                    - m.alpha_star * np.cos(pv.phi)))),
                threshold=1e-8)
+    u = np.linspace(-2 * m.U, 2 * m.U, 1001)
+    pv, cv = m.profile.eval(u), conj.eval(u)
+    # equality of the two sqrt(tau) expressions
+    report.add("cmc.tau_identity",
+               float(np.max(np.abs(np.cos(pv.phi) / (alpha - pv.phiprime)
+                                   - np.cos(cv.phi)
+                                   / (m.alpha_star - cv.phiprime)))),
+               threshold=1e-8)
+    # W = alpha*/cos phi* solves the W equation that the build checks for
+    # W = phi'/cos phi, on the same points
+    h = 1e-5
+    u5 = np.add.outer(h * STENCIL5, u[np.abs(np.cos(pv.phi)) > 0.3])
+    report.add("cmc.W_equation_conjugate",
+               cmc_mod.w_equation_residual(
+                   m.alpha_star / np.cos(conj.eval(u5).phi), alpha, h),
+               threshold=1e-5)
     rng = np.random.default_rng(3)
     v_max = min(1.2, 6.0 / alpha)
     ur = rng.uniform(-0.45 * m.U, 0.45 * m.U, 100)
@@ -276,7 +294,8 @@ def _cmc_checks(report, alpha):
                                    - 0.5))), threshold=1e-4)
     report.add("cmc.lift_matches_printed_block",
                float(np.max(np.abs(m.hyperboloid_point(ur, vr)
-                                   - m.hyperboloid_point_printed(ur, vr)))),
+                                   - m.hyperboloid_point_printed(
+                                       conj, ur, vr)))),
                threshold=1e-9)
     report.add("cmc.f_endpoint", abs(float(m.f_of_u(m.U / 2)) - m.gamma),
                threshold=1e-4)

@@ -190,14 +190,15 @@ def periodic_trapezoid(rows, tol):
             return est, err, ok
 
 
-def f_printed(model, u):
+def f_printed(model, conjugate, u):
     """The CMC lift coefficient f(u) as the literal printed quotient
     (alpha cos phi* - alpha* cos phi) / (alpha cos phi cos^2 phi*), read
-    from the model's profile and conjugate profile; valid away from
-    cos phi = 0, where it cancels catastrophically."""
+    from the model's profile and from `conjugate`, the profile
+    `conjugate_profile(model.alpha_star)`; valid away from cos phi = 0,
+    where it cancels catastrophically."""
     u = np.asarray(u, dtype=float)
     c = np.cos(model.profile.eval(u).phi)
-    cs = np.cos(model.conjugate.eval(u).phi)
+    cs = np.cos(conjugate.eval(u).phi)
     return (model.alpha * cs - model.alpha_star * c) \
         / (model.alpha * c * cs ** 2)
 

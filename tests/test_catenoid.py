@@ -10,7 +10,6 @@ from nilcat.catenoid import (
     build_catenoid,
     gauss_curvature_K,
     graph_patch,
-    immersion_point,
     limit_deviation,
     mesh_catenoid,
     period_closure_residual,
@@ -45,14 +44,15 @@ class TestBuild:
 
 class TestImmersion:
     def test_origin_point(self, cat1):
-        pt, lam = immersion_point(cat1, 0.0, 0.0)
+        x1, x2, x3 = cat1.xyz(0.0, 0.0)
+        lam = float(cat1.lambda_conf(0.0, 0.0))
         p = cat1.params
         w = math.sqrt(p.alpha ** 2 + p.cos2theta - p.C ** 2)
         g0 = (p.alpha - w)  # G'(0)
-        assert pt.x1 == pytest.approx(0.0, abs=1e-15)
-        assert pt.x2 == pytest.approx(0.0, abs=1e-15)
-        assert pt.x3 == pytest.approx((p.C / p.alpha) * (g0 / p.alpha - 1.0),
-                                      abs=1e-14)
+        assert x1 == pytest.approx(0.0, abs=1e-15)
+        assert x2 == pytest.approx(0.0, abs=1e-15)
+        assert x3 == pytest.approx((p.C / p.alpha) * (g0 / p.alpha - 1.0),
+                                   abs=1e-14)
         assert lam == pytest.approx(g0 ** 2 + p.C ** 2, rel=1e-12)
 
     def test_rotation_symmetries(self, cat1):

@@ -6,12 +6,16 @@ import sys
 import numpy as np
 import pytest
 
+import nilcat.catenoid as cat_mod
 import nilcat.cli as cli_mod
+import nilcat.cmc as cmc_mod
+import nilcat.helicoid as heli_mod
 from nilcat.cli import COMMANDS, JobConfig, UsageError, config_from_args, \
     build_parser, main
 from nilcat.meshes import euler_characteristic, read_obj, read_ply
 from nilcat.nil3 import ResidualReport
 from nilcat.period import find_theta_tilde
+from nilcat.profile import solve_profile
 
 
 def run_cli(*argv):
@@ -191,6 +195,27 @@ class TestCommands:
                        "--format", "csv", "--out",
                        str(tmp_path / "s.csv")) == 0
         assert calls == [0.5, 1.25, 2.0]
+
+    def test_mesh_cmc_one_profile_build(self, tmp_path, monkeypatch):
+        # the annulus samples the theta = 0 profile alone; the conjugate
+        # profile is built only by verify
+        builds = []
+
+        def counting(params):
+            builds.append(params)
+            return solve_profile(params)
+
+        for mod in (cat_mod, cmc_mod, heli_mod):
+            monkeypatch.setattr(mod, "solve_profile", counting)
+        heli_mod.build_helicoid.cache_clear()
+        try:
+            assert run_cli("mesh-cmc", "--alpha", "1.7", "--nu", "24",
+                           "--nv", "12", "--format", "ply",
+                           "--out", str(tmp_path / "m.ply")) == 0
+        finally:
+            heli_mod.build_helicoid.cache_clear()
+        assert len(builds) == 1
+        assert builds[0].theta == 0.0
 
     @pytest.mark.parametrize("argv", [
         ["mesh-catenoid", "--out", "m.obj"],

@@ -6,18 +6,18 @@ import pytest
 import oracles
 from nilcat import DomainError, RangeError
 from nilcat.cmc import (
-    CmcFieldSample,
-    annulus_point,
     build_cmc_annulus,
     conjugate_profile,
     halfplane_curve,
     halfplane_x1,
     halfplane_x2,
-    hstar_field,
     mean_curvature_h2xr,
     reflect_and_mesh,
+    w_equation_residual,
 )
+from nilcat.helicoid import build_helicoid
 from nilcat.meshes import euler_characteristic
+from nilcat.nil3 import STENCIL5
 from nilcat.profile import TOL
 
 
@@ -29,6 +29,16 @@ def cmc1():
 @pytest.fixture(scope="module")
 def cmc2():
     return build_cmc_annulus(2.0)
+
+
+@pytest.fixture(scope="module")
+def conj1(cmc1):
+    return conjugate_profile(cmc1.alpha_star)
+
+
+@pytest.fixture(scope="module")
+def conj2(cmc2):
+    return conjugate_profile(cmc2.alpha_star)
 
 
 def cayley_to_halfplane(w):
@@ -43,37 +53,55 @@ class TestBuild:
         assert cmc1.alpha_star == pytest.approx(math.sqrt(2.0), abs=0)
         assert cmc1.alpha_star_sq - cmc1.alpha ** 2 == 1.0
 
-    def test_half_periods_agree(self, cmc1, cmc2):
-        assert abs(cmc1.U - cmc1.conjugate.U) <= 1e-9
-        assert abs(cmc2.U - cmc2.conjugate.U) <= 1e-9
+    def test_half_periods_agree(self, cmc1, cmc2, conj1, conj2):
+        assert abs(cmc1.U - conj1.U) <= 1e-9
+        assert abs(cmc2.U - conj2.U) <= 1e-9
 
-    def test_cosh_omega_at_origin(self, cmc1):
+    def test_cosh_omega_at_origin(self, cmc1, conj1):
         # both expressions equal sqrt(alpha^2 + 1) at u = 0
         pv = cmc1.profile.eval(0.0)
-        phis = cmc1.conjugate.eval(0.0).phi
+        phis = conj1.eval(0.0).phi
         assert float(-pv.phiprime) == pytest.approx(math.sqrt(2), rel=1e-14)
         assert cmc1.alpha_star / float(np.cos(phis)) == pytest.approx(
             math.sqrt(2), rel=1e-14)
 
-    def test_cosh_omega_identity_on_grid(self, cmc1):
+    def test_cosh_omega_identity_on_grid(self, cmc1, conj1):
         u = np.linspace(-2 * cmc1.U, 2 * cmc1.U, 1000)
         pv = cmc1.profile.eval(u)
-        phis = cmc1.conjugate.eval(u).phi
+        phis = conj1.eval(u).phi
         r = np.abs(np.abs(pv.phiprime) * np.cos(phis)
                    - cmc1.alpha_star * np.cos(pv.phi))
         assert np.max(r) <= 1e-8
 
-    def test_conjugate_profile_ode(self, cmc1):
-        conj = cmc1.conjugate
+    def test_conjugate_profile_ode(self, conj1):
         u = np.linspace(-3, 3, 500)
-        cv = conj.eval(u)
-        assert float(conj.eval(0.0).phi) == 0.0
+        cv = conj1.eval(u)
+        assert float(conj1.eval(0.0).phi) == 0.0
         assert np.all(cv.phiprime < 0)
-        assert np.max(np.abs(cv.phiprime ** 2 - conj.params.alpha ** 2
+        assert np.max(np.abs(cv.phiprime ** 2 - conj1.params.alpha ** 2
                              + np.cos(cv.phi) ** 2)) <= 1e-12
         # quasi-period law
-        a, b = conj.eval(u), conj.eval(u + conj.U)
+        a, b = conj1.eval(u), conj1.eval(u + conj1.U)
         assert np.max(np.abs(b.phi - a.phi + math.pi)) <= 1e-12
+
+    def test_one_profile(self, cmc1):
+        # phi* comes from the conjugacy identity; the conjugate profile is
+        # built only where the identities are checked
+        assert not hasattr(cmc1, "conjugate")
+
+    def test_w_check_limit(self):
+        # at alpha 1000 the fixed step h = 1e-5 leaves both W candidates at
+        # 1.16e-4 > 1e-5: the build raises on phi'/cos phi alone
+        with pytest.raises(DomainError, match="W=phi'/cos"):
+            build_cmc_annulus(1000.0)
+        prof = build_helicoid(1000.0).profile
+        u = np.linspace(-2 * prof.U, 2 * prof.U, 1001)
+        u = u[np.abs(np.cos(prof.eval(u).phi)) > 0.3]
+        h = 1e-5
+        u5 = np.add.outer(h * STENCIL5, u)
+        a_s = math.sqrt(1000.0 ** 2 + 1.0)
+        W5 = a_s / np.cos(conjugate_profile(a_s).eval(u5).phi)
+        assert w_equation_residual(W5, 1000.0, h) > 1e-5
 
     def test_bad_alpha(self):
         with pytest.raises(DomainError):
@@ -82,6 +110,38 @@ class TestBuild:
             conjugate_profile(0.9)
         with pytest.raises(DomainError):
             conjugate_profile(1.0)
+
+
+class TestClosedFormPhiStar:
+    """sin phi* = alpha sin phi / |phi'|, from |phi'| cos phi* = alpha*
+    cos phi and phi'^2 = alpha^2 + cos^2 phi, against the conjugate profile
+    solved on its own.  The conjugate solves for alpha_eff = sqrt(fl(alpha*)^2
+    - 1), whose relative error is about eps/alpha^2; the bound allows the
+    profiles' dense-output TOL on top of that."""
+
+    @pytest.mark.parametrize("alpha", [0.005, 0.02, 1.0, 100.0, 1000.0])
+    def test_matches_conjugate_profile(self, alpha):
+        # the helicoid's profile: build_cmc_annulus(1000) raises
+        prof = build_helicoid(alpha).profile
+        conj = conjugate_profile(math.sqrt(alpha ** 2 + 1.0))
+        u = np.linspace(-2 * prof.U, 2 * prof.U, 4001)
+        pv = prof.eval(u)
+        closed = alpha * np.sin(pv.phi) / np.abs(pv.phiprime)
+        tol = TOL + 4 * np.finfo(float).eps / alpha ** 2
+        assert np.max(np.abs(closed - np.sin(conj.eval(u).phi))) <= tol
+
+    @pytest.mark.parametrize("alpha", [0.005, 1.0])
+    def test_lift_uses_closed_form(self, alpha):
+        # X1 = cosh(alpha v) sin(phi*) f(u) with the closed-form sin phi*
+        m = build_cmc_annulus(alpha)
+        rng = np.random.default_rng(12)
+        u = rng.uniform(-m.U, m.U, 300)
+        v = rng.uniform(-1.0, 1.0, 300) * min(1.0, 6.0 / alpha)
+        pv = m.profile.eval(u)
+        sin_star = alpha * np.sin(pv.phi) / np.abs(pv.phiprime)
+        X1 = np.cosh(alpha * v) * sin_star * m.f_of_u(u)
+        assert np.max(np.abs(m.hyperboloid_point(u, v)[..., 0] - X1)) \
+            <= 1e-14 * max(1.0, float(np.max(np.abs(X1))))
 
 
 class TestConjugateProfile:
@@ -115,17 +175,16 @@ class TestHeightField:
         assert np.max(np.abs(cmc1.hstar(-cmc1.U / 2, v))) <= 1e-12
 
     def test_value_at_origin(self, cmc1):
-        s = hstar_field(cmc1, 0.0, 0.0)
-        assert isinstance(s, CmcFieldSample)
         expected = 1.0 / (1.0 * (-math.sqrt(2.0) - 1.0))
-        assert s.hstar == pytest.approx(expected, rel=1e-14)
+        assert float(cmc1.hstar(0.0, 0.0)) == pytest.approx(expected,
+                                                            rel=1e-14)
 
-    def test_two_closed_forms_agree(self, cmc1):
+    def test_two_closed_forms_agree(self, cmc1, conj1):
         # h* in source-profile data equals h* in conjugate-profile data
         rng = np.random.default_rng(2)
         u = rng.uniform(-2, 2, 200)
         v = rng.uniform(-1.5, 1.5, 200)
-        cv = cmc1.conjugate.eval(u)
+        cv = conj1.eval(u)
         alt = np.cos(cv.phi) * np.cosh(cmc1.alpha * v) \
             / (cmc1.alpha * (cv.phiprime - cmc1.alpha_star))
         assert np.max(np.abs(cmc1.hstar(u, v) - alt)) <= 1e-8
@@ -178,13 +237,6 @@ class TestHeightField:
 
 
 class TestHyperboloidLift:
-    def test_G_hyperboloid_identity(self, cmc1):
-        rng = np.random.default_rng(5)
-        for uu, vv in zip(rng.uniform(-0.4, 0.4, 50) * cmc1.U,
-                          rng.uniform(-1.5, 1.5, 50)):
-            s = hstar_field(cmc1, uu, vv)
-            assert abs(s.G3 ** 2 - s.G1 ** 2 - s.G2 ** 2 - 1.0) <= 1e-10
-
     def test_X_hyperboloid_identity(self, cmc1):
         rng = np.random.default_rng(6)
         u = rng.uniform(-cmc1.U / 2, cmc1.U / 2, 300)
@@ -199,18 +251,18 @@ class TestHyperboloidLift:
             for us in (m.U / 2, -m.U / 2, m.U / 2 + m.U):
                 assert abs(float(m.f_of_u(us)) - m.gamma) <= 1e-4
 
-    def test_f_matches_printed_quotient(self, cmc1, cmc2):
+    def test_f_matches_printed_quotient(self, cmc1, cmc2, conj1, conj2):
         # the stable form must reproduce the literal formula away from the
         # removable singularity
-        for m in (cmc1, cmc2):
+        for m, conj in ((cmc1, conj1), (cmc2, conj2)):
             u = np.linspace(-0.35 * m.U, 0.35 * m.U, 301)
-            printed = oracles.f_printed(m, u)
+            printed = oracles.f_printed(m, conj, u)
             assert np.max(np.abs(m.f_of_u(u) - printed)) <= 1e-10
 
-    def test_f_limit_from_printed_quotient(self, cmc1):
+    def test_f_limit_from_printed_quotient(self, cmc1, conj1):
         # the printed formula itself tends to gamma as cos phi -> 0
         s = np.array([0.04, 0.02, 0.01, 0.005]) / cmc1.alpha
-        vals = oracles.f_printed(cmc1, cmc1.U / 2 - s)
+        vals = oracles.f_printed(cmc1, conj1, cmc1.U / 2 - s)
         gaps = np.abs(vals - cmc1.gamma)
         assert gaps[-1] <= 1e-4
         assert np.all(np.diff(gaps) < 0)
@@ -222,20 +274,22 @@ class TestHyperboloidLift:
                 (2 * a * a + 1) / (2 * a * a_s), rel=1e-14)
             assert m.gamma + a_s / a >= 1.0
 
-    def test_stable_lift_matches_printed_block(self, cmc1, cmc2):
+    def test_stable_lift_matches_printed_block(self, cmc1, cmc2, conj1,
+                                               conj2):
         rng = np.random.default_rng(8)
-        for m in (cmc1, cmc2):
+        for m, conj in ((cmc1, conj1), (cmc2, conj2)):
             u = rng.uniform(-m.U / 2, m.U / 2, 200)
             v = rng.uniform(-1.2, 1.2, 200)
             d = np.abs(m.hyperboloid_point(u, v)
-                       - m.hyperboloid_point_printed(u, v))
+                       - m.hyperboloid_point_printed(conj, u, v))
             assert np.max(d) <= 1e-10
 
     def test_annulus_point_at_origin(self, cmc1):
-        p = annulus_point(cmc1, 0.0, 0.0)
-        assert p.disk.imag == pytest.approx(0.0, abs=1e-15)  # X2 = 0
-        assert p.height == pytest.approx(1.0 / (-math.sqrt(2) - 1), rel=1e-14)
-        assert abs(p.disk) < 1
+        disk = complex(cmc1.disk_point(0.0, 0.0))
+        assert disk.imag == pytest.approx(0.0, abs=1e-15)  # X2 = 0
+        assert float(cmc1.hstar(0.0, 0.0)) == pytest.approx(
+            1.0 / (-math.sqrt(2) - 1), rel=1e-14)
+        assert abs(disk) < 1
 
     def test_disk_stays_inside(self, cmc1):
         rng = np.random.default_rng(7)
@@ -300,7 +354,7 @@ class TestHalfplaneCurves:
 
     def test_matches_disk_curve_through_cayley(self, cmc1):
         v = np.linspace(-1.2, 1.2, 25)
-        disk = np.array([annulus_point(cmc1, -cmc1.U / 2, t).disk for t in v])
+        disk = cmc1.disk_point(np.full_like(v, -cmc1.U / 2), v)
         zeta = cayley_to_halfplane(disk)
         assert np.max(np.abs(zeta.real - halfplane_x1(cmc1, -1, v))) <= 1e-8
         assert np.max(np.abs(zeta.imag - halfplane_x2(cmc1, v))) <= 1e-8
@@ -373,7 +427,7 @@ class TestReflectAndMesh:
         assert np.array_equal(mesh.faces, oracles.reflect_faces(nu, nv))
 
     def test_one_profile_evaluation(self, cmc1, monkeypatch):
-        calls = {"profile": 0, "conjugate": 0}
+        calls = {"profile": 0}
 
         def counting(name, fn):
             def wrapped(u):
@@ -383,10 +437,8 @@ class TestReflectAndMesh:
 
         monkeypatch.setattr(cmc1.profile, "eval",
                             counting("profile", cmc1.profile.eval))
-        monkeypatch.setattr(cmc1.conjugate, "eval",
-                            counting("conjugate", cmc1.conjugate.eval))
         reflect_and_mesh(cmc1, nu=64, nv=32, v_range=(-1.0, 1.0))
-        assert calls == {"profile": 1, "conjugate": 1}
+        assert calls == {"profile": 1}
 
     def test_xyz_equals_disk_point_and_height(self, cmc1):
         rng = np.random.default_rng(11)

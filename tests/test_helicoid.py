@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nilcat import RangeError
-from nilcat.helicoid import build_helicoid, helicoid_point, mesh_helicoid, ruling_residual
+from nilcat.helicoid import build_helicoid, mesh_helicoid, ruling_residual
 from nilcat.meshes import euler_characteristic
 from nilcat.nil3 import mean_curvature_nil3
 
@@ -41,8 +41,7 @@ class TestPoints:
         assert np.max(np.abs(heli.profile.eval(u).beta)) == 0.0
 
     def test_point_helper(self):
-        pt = helicoid_point(1.5, 0.0, 0.0)
-        assert (pt.x1, pt.x2, pt.x3) == (0.0, 0.0, 0.0)
+        assert build_helicoid(1.5).xyz(0.0, 0.0).tolist() == [0.0, 0.0, 0.0]
 
     def test_overflow_guard(self, heli):
         with pytest.raises(RangeError):

@@ -10,6 +10,7 @@ from nilcat import (
     ResolutionError,
     build_cmc_annulus,
     build_helicoid,
+    conjugate_profile,
     identity_residuals,
     quartic_P,
     solve_profile,
@@ -245,7 +246,7 @@ class TestEllipticOracle:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_conjugate(self, alpha):
-        conj = build_cmc_annulus(alpha).conjugate
+        conj = conjugate_profile(math.sqrt(alpha ** 2 + 1.0))
         # the alpha the conjugate really solves for: alpha*^2 - 1 with the
         # rounded alpha*, formed without cancellation
         a_s = conj.params.alpha

@@ -1,17 +1,18 @@
 """Source guard: one 5-point stencil, one root finder, one sweep path, one
-edge counter, one OBJ number conversion, one period-rule node path, and a
-numpy-only run time.
+edge counter, one OBJ number conversion, one period-rule node path, one
+profile per CMC model, and a numpy-only run time.
 
 Each derivative stencil lives in `nil3.stencil5`, bracketed roots are
 refined by `roots.brentq` (the period root by Newton through
 `period.L_integral`), alpha sweeps run as plain loops, mesh edges are
 counted by one sort in `meshes.euler_characteristic`, OBJ numbers go
 through the whole-array conversion of `objtext`, the period rule's nodes
-come from the table of `period._ladder_nodes`, and nothing in
-`src/nilcat` imports scipy.  These scans fail if a copy of the stencil
-denominator, a second Brent routine, a hand-rolled bisection loop, a
-thread pool, an `np.unique` in the mesh module, a second OBJ conversion
-path, a second node path or a scipy import comes back.
+come from the table of `period._ladder_nodes`, the CMC model samples
+the theta = 0 profile alone, and nothing in `src/nilcat` imports scipy.
+These scans fail if a copy of the stencil denominator, a second Brent
+routine, a hand-rolled bisection loop, a thread pool, an `np.unique` in the
+mesh module, a second OBJ conversion path, a second node path, a conjugate
+profile in the CMC model or a scipy import comes back.
 """
 
 import ast
@@ -195,3 +196,31 @@ def test_period_constants_from_the_root_pass():
     sources = _sources()
     assert "appendix_I_decomposition" not in sources["cli.py"]
     assert "polynomial" not in sources["period.py"]
+
+
+def test_one_profile_per_cmc_model():
+    """`CmcAnnulusModel` reads sin phi* = alpha sin phi / |phi'| from the
+    conjugacy identity, so neither the model nor `build_cmc_annulus` names
+    a conjugate (a `conjugate` attribute, `conjugate_profile`,
+    `_ConjugateQuartic`): the conjugate profile is built by `verify`, which
+    checks the identities against it.  The one exception is the parameter
+    through which `hyperboloid_point_printed` takes that profile from its
+    caller.  The scan reads the code, not the docstrings."""
+    text = _sources()["cmc.py"]
+    scopes = {n.name: n for n in ast.parse(text).body
+              if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+    hits = []
+    for name in ("CmcAnnulusModel", "build_cmc_annulus"):
+        code = _code_nodes(ast.get_source_segment(text, scopes[name]))
+        printed = [n for n in code if isinstance(n, ast.FunctionDef)
+                   and n.name == "hyperboloid_point_printed"]
+        allowed = {id(n) for fn in printed for n in ast.walk(fn)
+                   if isinstance(n, ast.arg) and n.arg == "conjugate"
+                   or isinstance(n, ast.Name) and n.id == "conjugate"}
+        for node in code:
+            ident = getattr(node, "id", None) or getattr(node, "attr", None) \
+                or getattr(node, "arg", None) or getattr(node, "name", None)
+            if isinstance(ident, str) and "conjugate" in ident.lower() \
+                    and id(node) not in allowed:
+                hits.append(f"{name}:{node.lineno}: {ident}")
+    assert hits == []

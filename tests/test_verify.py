@@ -35,6 +35,27 @@ def test_all_pass_at_alpha_0_02():
     assert rep.all_pass(), rep.failures()
 
 
+def test_hyperboloid_lift_at_alpha_0_005():
+    # sin phi* read from the conjugate profile left 3.2e-8 > 1e-8 here; its
+    # error is multiplied by about 1/alpha^2 in the lift residual
+    rep = run_verification(0.005)
+    assert rep.entries["cmc.hyperboloid_lift"]["pass"]
+    assert rep.entries["cmc.hyperboloid_lift"]["residual"] <= 1e-10
+
+
+def test_conjugacy_checks_in_verify():
+    # the identities between the profile and the conjugate profile, checked
+    # by verify since the model samples one profile
+    rep = run_verification(1.0)
+    for name, threshold in (("cmc.half_period_match", 1e-9),
+                            ("cmc.cosh_omega_identity", 1e-8),
+                            ("cmc.tau_identity", 1e-8),
+                            ("cmc.W_equation_conjugate", 1e-5),
+                            ("cmc.lift_matches_printed_block", 1e-9)):
+        assert rep.entries[name]["threshold"] == threshold
+        assert rep.entries[name]["pass"], name
+
+
 def test_one_theta_solve(monkeypatch):
     calls = []
 
@@ -48,8 +69,9 @@ def test_one_theta_solve(monkeypatch):
 
 
 def test_three_profile_builds(monkeypatch):
-    # the catenoid's at theta_tilde, the conjugate one, and one theta = 0
-    # profile that the helicoid and the CMC annulus share
+    # the catenoid's at theta_tilde, one theta = 0 profile that the
+    # helicoid and the CMC annulus share, and the conjugate one, built by
+    # verify to check the conjugacy identities
     builds = []
 
     def counting(params):
