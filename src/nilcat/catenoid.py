@@ -285,7 +285,10 @@ def limit_deviation(model: CatenoidModel, u_hat: float, v_hat: float):
     A = 2 log alpha + v_hat / 2 and cosh A ~ alpha^2 e^{v_hat/2} / 2, the
     coordinates approach
     (sin(u_hat)/4 e^{v_hat/2}, 0, -cos(u_hat)/4 e^{v_hat/2});
-    returns the three absolute deviations, each of size O(1/alpha^2).
+    returns the three absolute deviations.  Those of y1 and y3 are
+    O(1/alpha^2).  That of y2 is O(log alpha / alpha^2): y2 = C v - G(u)
+    with C alpha -> 1/2, so its C v term is about
+    (log alpha + v_hat / 4) / alpha^2, and |y2 - C v| is O(1/alpha^4).
     """
     a = model.alpha
     u = u_hat / a

@@ -107,7 +107,7 @@ def _parse_sweep(text):
         raise UsageError("sweep ends must be finite")
     if not 1 <= n <= MAX_SWEEP:
         raise UsageError(f"sweep count must lie in [1, {MAX_SWEEP}]")
-    return list(np.linspace(a, b, n))
+    return np.linspace(a, b, n).tolist()
 
 
 def _emit(payload: str, out):

@@ -80,8 +80,12 @@ def _atomic_write_bytes(path, data: bytes):
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -13,7 +13,10 @@ starts at 16 nodes and doubles until the n- and 2n-node sums agree to the
 requested tolerance; that difference is the reported error estimate.  Its
 nodes are prefixes of one process-wide table of x^2, in the order the
 doublings add them.  The integrand runs once on the first 128, which most
-ladders never pass, and once per doubling beyond.  The full-period
+ladders never pass, and once per doubling beyond.  Each run fills one
+fresh (2m, n) block for its m rows and n nodes: the rows f, written in
+place, and under them |f|, whose sums set the convergence test's roundoff
+floor; one pairwise sum per level covers the whole block.  The full-period
 constants U, beta(U) and G(U) and the asymptotic integrals I1-I3 are
 integrals of functions of cos^2 phi = x^2 too, so `L_integral` adds them
 as further rows of the same pass on request.
@@ -111,9 +114,11 @@ class PeriodIntegrals:
 
 
 # x^2 = sin^2 t at the nodes in the order the ladder adds them (the 16-node
-# rule, then each doubling's midpoints).  _ladder_nodes grows it up to
-# _N_MAX; threads racing to grow it build the same entries.
-_X2 = np.empty(0)
+# rule, then each doubling's midpoints).  The table is the one element of
+# this list, which _ladder_nodes updates in place as it grows the table up
+# to _N_MAX, so no module attribute is ever rebound; threads racing to grow
+# it build the same entries.
+_NODE_TABLE = [np.empty(0)]
 # An integrand call costs more than its arithmetic on 128 nodes, though most
 # ladders stop at 32 (measured against 32 and 64, see CHANGES.md).
 _N_FIRST = 128
@@ -121,49 +126,51 @@ _N_FIRST = 128
 
 def _ladder_nodes(n):
     """The first n entries of the node table, n a power of two."""
-    global _X2
-    x2 = _X2
+    x2 = _NODE_TABLE[0]
     while len(x2) < n:
         k, mid = (len(x2), 0.5) if len(x2) else (_N_START, 0.0)
         t = (np.arange(k) + mid) * (math.pi / k)
-        x2 = _X2 = np.concatenate([x2, np.cos(t) ** 2])
+        x2 = _NODE_TABLE[0] = np.concatenate([x2, np.cos(t) ** 2])
     return x2[:n]
+
+
+def _row_block(rows, x2):
+    """The (2m, len(x2)) block of the integrand rows f and |f| at x2.
+
+    rows(x2) writes the m rows of f into the top half of a block it
+    allocates and returns that half; |f| fills the bottom half."""
+    f = rows(x2)
+    g = f.base
+    np.abs(f, out=g[len(f):])
+    return g
 
 
 def _periodic_trapezoid(rows, tol):
     """Integrals over t in [-pi/2, pi/2] of the integrand rows.
 
-    rows(x2) maps x^2 = sin^2 t at a node batch to an (m, len(x2)) array.
-    The nodes t_k = k h - pi/2 have sin^2 t_k = cos^2(k h); each doubling
-    adds the midpoints.  rows runs on the table's first _N_FIRST nodes,
-    then once per doubling past them; with |f| stacked under f, a level's
-    sums are one pairwise sum.  Returns (integrals, error, converged).
+    rows(x2) maps x^2 = sin^2 t at a node batch to the (m, len(x2)) top
+    half of a fresh (2m, len(x2)) block (`_row_block`).  The nodes
+    t_k = k h - pi/2 have sin^2 t_k = cos^2(k h); each doubling adds the
+    midpoints.  rows runs on the table's first _N_FIRST nodes, then once
+    per doubling past them; with |f| under f in the block, a level's sums
+    are one pairwise sum.  Returns (integrals, error, converged).
     """
-    f = rows(_ladder_nodes(_N_FIRST))
-    m, g, lo = len(f), np.concatenate([f, np.abs(f)]), 0
+    g = _row_block(rows, _ladder_nodes(_N_FIRST))
+    m, lo = len(g) // 2, 0
     n, h = _N_START, math.pi / _N_START
     sums = g[:, :n].sum(axis=1)
     est = sums[:m] * h
     while True:
         if 2 * n > lo + g.shape[1]:
-            f = rows(_ladder_nodes(2 * n)[n:])
-            g, lo = np.concatenate([f, np.abs(f)]), n
-        sums = sums + g[:, n - lo:2 * n - lo].sum(axis=1)
+            g, lo = _row_block(rows, _ladder_nodes(2 * n)[n:]), n
+        sums += g[:, n - lo:2 * n - lo].sum(axis=1)
         n, h = 2 * n, 0.5 * h
         fine = sums[:m] * h
-        err = float(np.max(np.abs(fine - est)))
+        err = float(abs(fine - est).max())
         est = fine
-        ok = err <= max(tol, _ROUNDOFF * float(np.max(sums[m:])) * h)
+        ok = err <= max(tol, _ROUNDOFF * float(sums[m:].max()) * h)
         if ok or n >= _N_MAX:
             return est, err, ok
-
-
-def _sqrtP_denominator_L(params: AnnulusParams, x2):
-    """sqrt(P), sqrt(P) (alpha + sqrt(P)) and the L integrand at x^2 = x2."""
-    a, C, c2t = params.alpha, params.C, params.cos2theta
-    sq = np.sqrt(a * a + c2t * x2 - C * C * x2 * x2)
-    d = sq * (a + sq)
-    return sq, d, (2.0 * a * C * C * x2 - a * c2t + C * C * x2 * sq) / d
 
 
 def _check_omega(params: AnnulusParams):
@@ -189,29 +196,43 @@ def L_integral(params: AnnulusParams, tol: float = DEFAULT_QUAD_TOL,
     """
     _check_omega(params)
     a, C, c2t = params.alpha, params.C, params.cos2theta
+    CC = C * C
     # c' = -2 sin 2 theta = -4 alpha C and (C^2)' = 2 C c / alpha
     dc, dC2 = -4.0 * a * C, 2.0 * C * c2t / a
-
-    def rows(x2):
-        sq, d, L = _sqrtP_denominator_L(params, x2)
-        dsq = (dc - dC2 * x2) * x2 / (2.0 * sq)
-        dN = (2.0 * a + sq) * dC2 * x2 - a * dc + C * C * x2 * dsq
-        out = [L, (dN - L * dsq * (a + 2.0 * sq)) / d]
-        if split:
-            out += [-2.0 * a * C * C * (1.0 - x2) / d,
-                    (2.0 * a * C * C - a * c2t + C * C * x2 * sq) / d]
-        if constants:
-            C2x2 = C * C * x2
-            out += [2.0 * a * a * C2x2 / d, a * a / d, a * C2x2 / (a + sq),
-                    1.0 / sq, C * x2 / sq, (C2x2 - c2t) / d]
-        return np.stack(out)
-
-    vals, err, ok = _periodic_trapezoid(rows, tol)
     names = ("L", "dL_dtheta") + (("L1", "L2") if split else ()) \
         + (_CONSTANTS if constants else ())
+
+    def rows(x2):
+        # shared subterms formed once, each expression left to right as
+        # the plain formulas read, so every row keeps their bits; f is
+        # the top half of the block
+        f = np.empty((2 * len(names), len(x2)))[:len(names)]
+        C2x2 = CC * x2
+        sq = np.sqrt(a * a + c2t * x2 - C2x2 * x2)
+        ap = a + sq
+        d = sq * ap
+        C2x2sq = C2x2 * sq
+        L = np.divide(2.0 * a * C * C * x2 - a * c2t + C2x2sq, d, out=f[0])
+        dsq = (dc - dC2 * x2) * x2 / (2.0 * sq)
+        dN = (2.0 * a + sq) * dC2 * x2 - a * dc + C2x2 * dsq
+        np.divide(dN - L * dsq * (a + 2.0 * sq), d, out=f[1])
+        if split:
+            np.divide(-2.0 * a * C * C * (1.0 - x2), d, out=f[2])
+            np.divide(2.0 * a * C * C - a * c2t + C2x2sq, d, out=f[3])
+        if constants:
+            I1, I2, I3, U, betaU, GU = f[-6:]
+            np.divide(2.0 * a * a * C2x2, d, out=I1)
+            np.divide(a * a, d, out=I2)
+            np.divide(a * C2x2, ap, out=I3)
+            np.divide(1.0, sq, out=U)
+            np.divide(C * x2, sq, out=betaU)
+            np.divide(C2x2 - c2t, d, out=GU)
+        return f
+
+    vals, err, ok = _periodic_trapezoid(rows, tol)
     return PeriodIntegrals(quadrature_error_estimate=err, converged=ok,
                            theta=params.theta,
-                           **dict(zip(names, map(float, vals))))
+                           **dict(zip(names, vals.tolist())))
 
 
 def _check_I2_bound(alpha: float, r: PeriodIntegrals, tol: float) -> None:

@@ -16,8 +16,9 @@ The third, at theta = 0 (helicoid, CMC source and conjugate), is closed
 form: Jacobi elliptic functions from scipy.special.
 
 The period rule has one reference of that other kind: its ladder as it
-ran before the shared node table, forming each level's nodes itself; the
-library must return the same bits.
+ran before the shared node table, forming each level's nodes itself, and
+its integrand rows as they were formed before each pass wrote them into
+one preallocated block; the library must return the same bits.
 
 The mesh data plane has per-element oracles: OBJ and PLY writers and
 readers that handle one line or one face at a time, edge lists from
@@ -36,7 +37,8 @@ from scipy.special import ellipj, ellipk
 
 from nilcat.errors import ResolutionError
 from nilcat.period import _N_MAX, _N_START, _ROUNDOFF
-from nilcat.profile import MAX_NODES, START_NODES, TOL, Profile, _GL_W, _GL_X
+from nilcat.profile import MAX_NODES, START_NODES, TOL, AnnulusParams, \
+    Profile, _GL_W, _GL_X
 
 
 def P_of(alpha, theta, x):
@@ -188,6 +190,35 @@ def periodic_trapezoid(rows, tol):
         ok = err <= max(tol, _ROUNDOFF * float(np.max(abs_total)) * h)
         if ok or n >= _N_MAX:
             return est, err, ok
+
+
+def period_rows(alpha, theta, split=False, constants=False):
+    """The rows of `L_integral`'s pass as it formed them before it wrote
+    them into one preallocated block: each row a fresh array, stacked.
+    L and dL/dtheta, then L1 and L2 with split, then I1-I3, U, beta(U)
+    and G(U) with constants."""
+    params = AnnulusParams(alpha, theta)
+    a, C, c2t = params.alpha, params.C, params.cos2theta
+    # c' = -2 sin 2 theta = -4 alpha C and (C^2)' = 2 C c / alpha
+    dc, dC2 = -4.0 * a * C, 2.0 * C * c2t / a
+
+    def rows(x2):
+        sq = np.sqrt(a * a + c2t * x2 - C * C * x2 * x2)
+        d = sq * (a + sq)
+        L = (2.0 * a * C * C * x2 - a * c2t + C * C * x2 * sq) / d
+        dsq = (dc - dC2 * x2) * x2 / (2.0 * sq)
+        dN = (2.0 * a + sq) * dC2 * x2 - a * dc + C * C * x2 * dsq
+        out = [L, (dN - L * dsq * (a + 2.0 * sq)) / d]
+        if split:
+            out += [-2.0 * a * C * C * (1.0 - x2) / d,
+                    (2.0 * a * C * C - a * c2t + C * C * x2 * sq) / d]
+        if constants:
+            C2x2 = C * C * x2
+            out += [2.0 * a * a * C2x2 / d, a * a / d, a * C2x2 / (a + sq),
+                    1.0 / sq, C * x2 / sq, (C2x2 - c2t) / d]
+        return np.stack(out)
+
+    return rows
 
 
 def f_printed(model, conjugate, u):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -178,6 +179,14 @@ class TestCommands:
         assert len(cli_mod._parse_sweep(f"1:2:{cli_mod.MAX_SWEEP}")) \
             == cli_mod.MAX_SWEEP
 
+    def test_sweep_alphas_are_python_floats(self):
+        # the same doubles as np.linspace, so the root search runs on
+        # Python floats rather than numpy scalars
+        alphas = cli_mod._parse_sweep("0.2:100:7")
+        assert [type(a) for a in alphas] == [float] * 7
+        assert [a.hex() for a in alphas] \
+            == [float(a).hex() for a in np.linspace(0.2, 100.0, 7)]
+
     def test_sweep_cap_in_help(self, capsys):
         with pytest.raises(SystemExit):
             cli_mod.main(["--help"])
@@ -256,6 +265,19 @@ class TestDeterminism:
         run_cli("solve-period", "--alpha", "1.5", "--out", str(a))
         run_cli("solve-period", "--alpha", "1.5", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    # SHA-256 of these artifacts as recorded before the period pass wrote
+    # its rows into one preallocated block (numpy 2.4, Python 3.11, x86-64)
+    @pytest.mark.parametrize("argv, digest", [
+        (["--alpha-sweep", "0.2:100:200", "--format", "csv"],
+         "0e997c58b3d145b91421556251bd8ca6087847f6020eb45533a1ddcd7378219c"),
+        (["--alpha", "1.5"],
+         "2ddfd3403332a84656eb551cffaebf5077aa52e04477dccfe2f75f56bc74b11c"),
+    ])
+    def test_solve_period_golden_bytes(self, tmp_path, argv, digest):
+        out = tmp_path / "out"
+        assert run_cli("solve-period", *argv, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_section_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

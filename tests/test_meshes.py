@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from nilcat import (
     mesh_helicoid,
     reflect_and_mesh,
 )
+import nilcat.meshes as meshes_mod
 from nilcat.cli import main
 from nilcat.meshes import (
     Mesh,
@@ -328,3 +331,37 @@ class TestDeterminism:
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         write_obj(quad_mesh(), tmp_path / "m.obj")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.obj"]
+
+    def _short_writes(self, monkeypatch, fail_after):
+        # os.write writes at most 5 bytes a call; past fail_after calls it
+        # raises as a full disk does
+        real, calls = os.write, []
+
+        def short(fd, data):
+            calls.append(fd)
+            if len(calls) > fail_after:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(fd, data[:5])
+
+        monkeypatch.setattr(meshes_mod.os, "write", short)
+        return calls
+
+    def test_atomic_write_completes_short_writes(self, tmp_path, monkeypatch):
+        data = bytes(range(23))
+        calls = self._short_writes(monkeypatch, fail_after=10)
+        meshes_mod._atomic_write_bytes(tmp_path / "b.bin", data)
+        monkeypatch.undo()
+        assert len(calls) == 5
+        assert (tmp_path / "b.bin").read_bytes() == data
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bin"]
+
+    def test_failed_write_leaves_no_temp(self, tmp_path, monkeypatch):
+        target = tmp_path / "b.bin"
+        target.write_bytes(b"before")
+        self._short_writes(monkeypatch, fail_after=2)
+        with pytest.raises(OSError) as err:
+            meshes_mod._atomic_write_bytes(target, bytes(100))
+        monkeypatch.undo()
+        assert err.value.errno == errno.ENOSPC
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bin"]
+        assert target.read_bytes() == b"before"

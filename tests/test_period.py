@@ -150,17 +150,18 @@ class TestFindThetaTilde:
         assert calls == passes[:bad + 1]
 
     def test_no_sign_change_raises(self, monkeypatch):
-        # an integrand that stays negative up to theta_plus: the upper end
-        # moves toward theta_plus until 1e-9 from it, then BracketError
-        # (sqrt(P) = 1 keeps the slope row resolved there too)
+        # a converged pass whose L stays negative up to theta_plus: the
+        # upper end moves toward theta_plus until 1e-9 from it, then
+        # BracketError
         thetas = []
 
-        def negative(params, x2):
+        def negative(params, tol=period.DEFAULT_QUAD_TOL, constants=False):
             thetas.append(params.theta)
-            one = np.ones_like(x2)
-            return one, one, -one
+            return period.PeriodIntegrals(
+                L=-math.pi, quadrature_error_estimate=0.0, converged=True,
+                dL_dtheta=1.0, theta=params.theta)
 
-        monkeypatch.setattr(period, "_sqrtP_denominator_L", negative)
+        monkeypatch.setattr(period, "L_integral", negative)
         with pytest.raises(BracketError):
             find_theta_tilde(0.5)
         tp = AnnulusParams(0.5, 0.0).theta_plus
@@ -458,6 +459,27 @@ class TestLadder:
         assert 2 * max(sizes) == period._N_MAX
         assert [new[3] for new, _ in seen[-3:]] == [False] * 3
 
+    @pytest.mark.parametrize("kw", [{}, {"split": True},
+                                    {"constants": True}])
+    def test_rows_identical_to_oracle_rows(self, kw):
+        # the rows written into one block per pass give the bits of the
+        # rows formed one array each and stacked
+        names = ("L", "dL_dtheta") + (("L1", "L2") if "split" in kw else ()) \
+            + (period._CONSTANTS if "constants" in kw else ())
+        tol = period.DEFAULT_QUAD_TOL
+        converged = []
+        for alpha, theta in _packs():
+            r = L_integral(AnnulusParams(alpha, theta), **kw)
+            vals, err, ok = oracles.periodic_trapezoid(
+                oracles.period_rows(alpha, theta, **kw), tol)
+            assert [getattr(r, k).hex() for k in names] \
+                == [float(v).hex() for v in vals], (alpha, theta)
+            assert r.quadrature_error_estimate.hex() == err.hex()
+            assert r.converged == ok
+            converged.append(ok)
+        # the last pack stops unconverged at the 2^16 cap
+        assert not converged[-1] and sum(converged) >= 200
+
     def test_root_identical_to_oracle_driven_root(self, monkeypatch):
         alphas = np.geomspace(0.005, 1000.0, 100)
         roots = [find_theta_tilde(a).theta for a in alphas]
@@ -467,9 +489,19 @@ class TestLadder:
             == [find_theta_tilde(a).theta.hex() for a in alphas]
 
 
+@pytest.fixture
+def empty_table():
+    """Empty the node table for one test and put it back after; the
+    table is the one element of its holder, so only that element moves."""
+    holder = period._NODE_TABLE
+    table, holder[0] = holder[0], np.empty(0)
+    yield
+    holder[0] = table
+
+
+@pytest.mark.usefixtures("empty_table")
 class TestNodeTable:
-    def test_levels_are_the_ladders_nodes(self, monkeypatch):
-        monkeypatch.setattr(period, "_X2", np.empty(0))
+    def test_levels_are_the_ladders_nodes(self):
         x2 = period._ladder_nodes(period._N_MAX)
         n = period._N_START
         h = math.pi / n
@@ -480,28 +512,40 @@ class TestNodeTable:
             n, h = 2 * n, 0.5 * h
         assert len(x2) == period._N_MAX
 
-    def test_grows_lazily_to_the_cap(self, monkeypatch):
-        monkeypatch.setattr(period, "_X2", np.empty(0))
+    def test_grows_lazily_to_the_cap(self):
         L_integral(AnnulusParams(1.0, 0.3))
-        assert len(period._X2) == period._N_FIRST
+        assert len(period._NODE_TABLE[0]) == period._N_FIRST
         for alpha in np.geomspace(0.2, 100.0, 200):
             appendix_I_decomposition(alpha, find_theta_tilde(alpha).theta)
-        assert len(period._X2) == 256
+        assert len(period._NODE_TABLE[0]) == 256
         for alpha in np.geomspace(0.005, 1000.0, 200):
             find_theta_tilde(alpha)
-        assert len(period._X2) == 8192
+        assert len(period._NODE_TABLE[0]) == 8192
         r = L_integral(AnnulusParams(0.7, AnnulusParams(0.7, 0.0).theta_plus
                                      - 1e-6))
         assert not r.converged
-        assert len(period._X2) == period._N_MAX
-        table = period._X2
+        assert len(period._NODE_TABLE[0]) == period._N_MAX
+        table = period._NODE_TABLE[0]
         period._ladder_nodes(period._N_MAX)
-        assert period._X2 is table
+        assert period._NODE_TABLE[0] is table
 
-    def test_threads_racing_to_grow_it(self, monkeypatch):
+    def test_growing_rebinds_no_module_attribute(self):
+        # a tracer that wraps the module's functions and puts them back
+        # checks that every attribute is the object it was before
+        period._ladder_nodes(period._N_FIRST)
+        before = dict(vars(period))
+        r = L_integral(AnnulusParams(0.7, AnnulusParams(0.7, 0.0).theta_plus
+                                     - 1e-6))
+        assert len(period._NODE_TABLE[0]) == period._N_MAX > period._N_FIRST
+        assert not r.converged
+        after = dict(vars(period))
+        assert after.keys() == before.keys()
+        assert [k for k, v in before.items() if after[k] is not v] == []
+
+    def test_threads_racing_to_grow_it(self):
         alphas = np.geomspace(0.005, 1000.0, 32)
         want = [find_theta_tilde(a).theta.hex() for a in alphas]
-        monkeypatch.setattr(period, "_X2", np.empty(0))
+        period._NODE_TABLE[0] = np.empty(0)
         got = {}
 
         def work(i):
@@ -520,8 +564,7 @@ class TestNodeTable:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert [got[i] for i in range(4)] == [want[i::4] for i in range(4)]
-        table = period._X2
-        monkeypatch.setattr(period, "_X2", np.empty(0))
+        table, period._NODE_TABLE[0] = period._NODE_TABLE[0], np.empty(0)
         assert table.tobytes() == period._ladder_nodes(len(table)).tobytes()
 
 
